@@ -36,7 +36,7 @@ print(f"  membership residuals: u {sigma.membership_residual(u):.1e}, "
       f"hit {sigma.membership_residual(hit):.1e}")
 
 print("\n== the distance formula ==")
-cfg = SpaceConfig(k=2, seed=3)
+cfg = SpaceConfig(k=2)
 rng = np.random.default_rng(3)
 G = sample_chain(cfg, rng)
 omega = G.point_at(0.5)

@@ -30,7 +30,7 @@ from .core import (
 )
 from .projective import (
     MoebiusMap,
-    apply,
+    chart,
     crt_projective,
     drop,
     lift,
@@ -47,11 +47,9 @@ from .circles import (
     conjugate_pole,
     eta,
     mu,
-    normalize_to_infinity,
     rcircle_through_hitting,
     reflection_in_ccircle,
     sphere_between,
-    sphere_contains,
 )
 from .foliation import (
     Polygon,

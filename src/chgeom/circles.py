@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .core import (
     dist_w,
     gauge,
     harmonicity_residual,
-    heis_inv,
     infinity,
     point,
     same_point,
@@ -41,9 +41,9 @@ from .core import (
 from .projective import (
     MoebiusMap,
     axis_reflection,
+    chart,
     lift,
     make_dilation,
-    make_inversion,
     make_rotation,
     make_translation,
 )
@@ -53,7 +53,6 @@ __all__ = [
     "RCircle",
     "Sphere",
     "MEMBERSHIP_TOL",
-    "normalize_to_infinity",
     "chain_chart",
     "ccircle_through",
     "rcircle_through_hitting",
@@ -62,7 +61,6 @@ __all__ = [
     "conjugate_pole",
     "reflection_in_ccircle",
     "sphere_between",
-    "sphere_contains",
     "circle_pointset_residual",
     "unitary_with_first_column",
 ]
@@ -104,13 +102,19 @@ class CCircle:
             taus = np.tan(rng.uniform(-0.47 * math.pi, 0.47 * math.pi, size=n)) * 2.0
         return [self.point_at(float(t)) for t in taus]
 
+    def transported(self, g: MoebiusMap) -> "CCircle":
+        """The image chain g(F)."""
+        return CCircle(map=g @ self.map, span=tuple(g(p) for p in self.span))
+
+    @cached_property
     def _plane_basis(self) -> np.ndarray:
-        Q = getattr(self, "_q_cache", None)
-        if Q is None:
-            M = self.map.g[:, [0, self.k]]
-            Q, _ = np.linalg.qr(M)
-            object.__setattr__(self, "_q_cache", Q)
+        """Orthonormal basis of the chain's complex 2-plane."""
+        Q, _ = np.linalg.qr(self.map.g[:, [0, self.k]])
         return Q
+
+    @cached_property
+    def _reflection(self) -> MoebiusMap:
+        return self.map @ axis_reflection(self.k) @ self.map.inverse()
 
     def membership_residual(self, p: BoundaryPoint) -> float:
         """Squared distance of the unit null lift from the chain's complex 2-plane.
@@ -119,7 +123,7 @@ class CCircle:
         constructions score near 1e-16 while genuinely off-circle points
         score far above the membership tolerance.
         """
-        Q = self._plane_basis()
+        Q = self._plane_basis
         X = lift(p)
         return float(np.linalg.norm(X - Q @ (Q.conj().T @ X)) ** 2)
 
@@ -154,6 +158,14 @@ class RCircle:
             ss = np.tan(rng.uniform(-0.47 * math.pi, 0.47 * math.pi, size=n)) * 2.0
         return [self.point_at(float(s)) for s in ss]
 
+    def transported(self, g: MoebiusMap) -> "RCircle":
+        """The image R-circle g(sigma)."""
+        return RCircle(map=g @ self.map, witnesses=tuple(g(p) for p in self.witnesses))
+
+    @cached_property
+    def _ginv(self) -> np.ndarray:
+        return self.map.inverse().g
+
     def membership_residual(self, p: BoundaryPoint) -> float:
         """Squared deviation of the pulled-back lift from phase times a real vector.
 
@@ -165,11 +177,7 @@ class RCircle:
         would bottom out at sqrt(eps), above the membership tolerance.
         """
         k = self.k
-        ginv = getattr(self, "_ginv_cache", None)
-        if ginv is None:
-            ginv = self.map.inverse().g
-            object.__setattr__(self, "_ginv_cache", ginv)
-        Y = ginv @ lift(p)
+        Y = self._ginv @ lift(p)
         Y = Y / np.linalg.norm(Y)
         tail = Y[2:k]
         v = np.array([Y[0], Y[1], Y[k]])
@@ -182,20 +190,8 @@ class RCircle:
 
 
 # ---------------------------------------------------------------------------
-# Chart normalizations
+# Chain charts
 # ---------------------------------------------------------------------------
-
-def normalize_to_infinity(p: BoundaryPoint) -> MoebiusMap:
-    """A Moebius map sending ``p`` to infinity.
-
-    Identity if p is already infinite, otherwise the gauge inversion
-    after translating p to the origin.
-    """
-    if p.infinite:
-        return MoebiusMap.identity(p.k)
-    q = heis_inv(p)
-    return make_inversion(p.k) @ make_translation(q.z, q.t)
-
 
 def _chain_point_away_from(F: CCircle, avoid: BoundaryPoint) -> BoundaryPoint:
     best, best_d = None, -1.0
@@ -218,19 +214,11 @@ def chain_chart(F: CCircle, omega: BoundaryPoint, o: BoundaryPoint | None = None
     """
     if not F.contains(omega):
         raise GeometryError("omega must lie on the chain")
-    n = normalize_to_infinity(omega)
     if o is None:
         o = _chain_point_away_from(F, omega)
     elif not F.contains(o):
         raise GeometryError("o must lie on the chain")
-    o1 = n(o)
-    if o1.infinite:
-        raise GeometryError("chart anchor collides with omega")
-    return make_translation(*_pair(heis_inv(o1))) @ n
-
-
-def _pair(p: BoundaryPoint):
-    return p.z, p.t
+    return chart(omega, o)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +229,7 @@ def ccircle_through(p: BoundaryPoint, q: BoundaryPoint) -> CCircle:
     """The unique chain through two distinct points."""
     if same_point(p, q, tol=1e-12):
         raise GeometryError("a chain needs two distinct points")
-    n = normalize_to_infinity(p)
+    n = chart(p)
     q1 = n(q)
     if q1.infinite:
         raise GeometryError("points are not distinguishable in the chart")
@@ -338,11 +326,7 @@ def reflection_in_ccircle(F: CCircle) -> MoebiusMap:
     that maps every R-circle meeting F at two points onto itself.
     Cached per chain.
     """
-    phi = getattr(F, "_refl_cache", None)
-    if phi is None:
-        phi = F.map @ axis_reflection(F.k) @ F.map.inverse()
-        object.__setattr__(F, "_refl_cache", phi)
-    return phi
+    return F._reflection
 
 
 def conjugate_pole(F: CCircle, u: BoundaryPoint) -> BoundaryPoint:
@@ -389,9 +373,7 @@ class Sphere:
 
     def sample_points(self, n: int, rng) -> list:
         """Points on the sphere, constructed in the centered chart."""
-        c = normalize_to_infinity(self.omega_prime)
-        w0 = c(self.omega)
-        c = make_translation(*_pair(heis_inv(w0))) @ c
+        c = chart(self.omega_prime, self.omega)
         r = gauge(c(self.x))
         cinv = c.inverse()
         out = []
@@ -419,12 +401,6 @@ def sphere_between(omega: BoundaryPoint, omega_prime: BoundaryPoint,
     if same_point(x, omega, tol=1e-12) or same_point(x, omega_prime, tol=1e-12):
         raise GeometryError("the anchor point must differ from both poles")
     return Sphere(omega=omega, omega_prime=omega_prime, x=x)
-
-
-def sphere_contains(sphere: Sphere, p: BoundaryPoint,
-                    tol: float = MEMBERSHIP_TOL) -> bool:
-    """Membership of p in a sphere handle; function form of Sphere.contains."""
-    return sphere.contains(p, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class SpaceConfig:
-    """Ambient parameters: complex dimension k, relative tolerance, seed.
+    """Ambient parameters: the complex dimension k.
 
     The boundary of CH^k has real dimension 2k-1; the horizontal chart
     coordinate lives in C^(k-1), so k = 1 is the degenerate case with no
@@ -69,14 +69,10 @@ class SpaceConfig:
     """
 
     k: int
-    tol_rel: float = DEFAULT_TOL
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise GeometryError(f"complex dimension must be >= 1, got {self.k}")
-        if not self.tol_rel > 0:
-            raise GeometryError(f"tolerance must be positive, got {self.tol_rel}")
 
     @property
     def horizontal_dim(self) -> int:

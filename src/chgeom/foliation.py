@@ -25,17 +25,11 @@ from .core import (
     BoundaryPoint,
     GeometryError,
     dist_w,
-    heis_inv,
     point,
     same_point,
 )
 from .circles import CCircle, RCircle, _chain_point_away_from, mu
-from .projective import (
-    MoebiusMap,
-    make_dilation,
-    make_inversion,
-    make_translation,
-)
+from .projective import MoebiusMap, chart, make_dilation, make_translation
 
 __all__ = [
     "Polygon",
@@ -50,19 +44,6 @@ __all__ = [
 ]
 
 _LIMIT_SCALES = [2.0 ** j for j in range(4, 21)]
-
-
-def _translation_to_origin(p: BoundaryPoint) -> MoebiusMap:
-    q = heis_inv(p)
-    return make_translation(q.z, q.t)
-
-
-def _normalizer(omega: BoundaryPoint) -> MoebiusMap:
-    if omega.infinite:
-        return MoebiusMap.identity(omega.k)
-    from .circles import normalize_to_infinity
-
-    return normalize_to_infinity(omega)
 
 
 def _chart_scale(omega: BoundaryPoint, n: MoebiusMap) -> float:
@@ -85,7 +66,7 @@ def project_base(omega: BoundaryPoint, x: BoundaryPoint) -> np.ndarray:
     """
     if same_point(x, omega, tol=1e-14):
         raise GeometryError("the distinguished point has no base coordinate")
-    n = _normalizer(omega)
+    n = chart(omega)
     x1 = n(x)
     if x1.infinite:
         raise GeometryError("x is indistinguishable from omega in the chart")
@@ -110,7 +91,6 @@ def base_dist(omega: BoundaryPoint, F: CCircle, Fp: CCircle) -> float:
 # ---------------------------------------------------------------------------
 
 def _rline_chart(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint) -> MoebiusMap:
-    k = sigma.k
     if not sigma.contains(omega):
         raise GeometryError("the R-circle must pass through omega")
     if not sigma.contains(o):
@@ -118,15 +98,7 @@ def _rline_chart(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint) -> Moeb
     if same_point(o, omega, tol=1e-12):
         raise GeometryError("basepoint and omega coincide")
     minv = sigma.map.inverse()
-    om1 = minv(omega)
-    if om1.infinite:
-        c = minv
-    else:
-        c = (make_inversion(k) @ _translation_to_origin(om1)) @ minv
-    o1 = c(o)
-    if o1.infinite:
-        raise GeometryError("degenerate chart for the R-line")
-    return _translation_to_origin(o1) @ c
+    return chart(minv(omega), minv(o)) @ minv
 
 
 def busemann(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint,
@@ -186,7 +158,7 @@ def vertical_shift(omega: BoundaryPoint, s: float) -> MoebiusMap:
     k = omega.k
     if omega.infinite:
         return make_translation(np.zeros(k - 1), float(s))
-    n = _normalizer(omega)
+    n = chart(omega)
     lam = _chart_scale(omega, n)
     inner = make_translation(np.zeros(k - 1), float(s) / (lam * lam))
     return n.inverse() @ inner @ n
@@ -202,11 +174,7 @@ def pure_homothety(o: BoundaryPoint, omega: BoundaryPoint, lam: float) -> Moebiu
         raise GeometryError(f"homothety coefficient must be positive, got {lam}")
     if same_point(o, omega, tol=1e-12):
         raise GeometryError("homothety endpoints must be distinct")
-    n = _normalizer(omega)
-    o1 = n(o)
-    if o1.infinite:
-        raise GeometryError("degenerate homothety chart")
-    c = _translation_to_origin(o1) @ n
+    c = chart(omega, o)
     return c.inverse() @ make_dilation(float(lam), o.k) @ c
 
 

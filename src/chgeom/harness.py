@@ -2,28 +2,27 @@
 
 Suites bundle the registered properties; a run is deterministic given
 (seed, dimension, trials): every trial draws from its own generator
-seeded by (seed, property index, trial index), so results are
-order-independent, parallelizable, and any failing sample is replayable
-with ``--replay suite:seed:index``.
+seeded by (seed, property index, trial index), so results do not depend
+on the order of the trials, and any failing sample is replayable with
+``--replay suite:seed:index``.  Trials run one after another in one
+thread.  A trial that raises fails its property: the report names the
+exception and the trial index, and the property runs no further trials.
 
-Exit codes: 0 all properties pass, 1 a property failed, 2 usage error.
-The environment variable VERIFY_THREADS caps the worker pool (default 1,
-single-threaded).
+Exit codes: 0 all properties pass, 1 a property failed (a raising trial
+included), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GeometryError, SpaceConfig
+from .core import SpaceConfig
 from .properties import REGISTRY, SUITE_NAMES, Property, suite_properties
 
 __all__ = [
@@ -80,6 +79,7 @@ class PropertyReport:
     worst_trial: int
     passed: bool
     skipped: bool = False
+    error: str | None = None   # exception raised by trial worst_trial
 
     def as_dict(self) -> dict:
         return {
@@ -92,6 +92,7 @@ class PropertyReport:
             "worst_trial": self.worst_trial,
             "pass": self.passed,
             "skipped": self.skipped,
+            "error": self.error,
         }
 
 
@@ -128,6 +129,8 @@ class SuiteReport:
                 f"  [{status}] {p.name:<36} max_residual={p.max_residual:9.3e}  "
                 f"tol={p.tol:7.1e}  trials={p.trials}"
             )
+            if p.error is not None:
+                lines.append(f"         trial {p.worst_trial} raised {p.error}")
             if not p.passed:
                 lines.append(
                     f"         worst trial {p.worst_trial}; replay with "
@@ -146,16 +149,12 @@ def _effective_trials(prop: Property, trials: int) -> int:
     return max(1, round(prop.base_trials * trials / REFERENCE_TRIALS))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("VERIFY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig) -> PropertyReport:
-    space = SpaceConfig(k=cfg.k, seed=cfg.seed)
+    space = SpaceConfig(k=cfg.k)
     tol = cfg.tol if cfg.tol is not None else prop.tol
     if cfg.k < prop.min_k:
         return PropertyReport(
@@ -164,27 +163,19 @@ def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig) -> Property
             passed=True, skipped=True,
         )
     n = _effective_trials(prop, cfg.trials)
-
-    def run_range(indices):
-        worst, worst_i = 0.0, -1
-        for i in indices:
+    worst, worst_i, error = 0.0, -1, None
+    for i in range(n):
+        try:
             r = float(prop.fn(space, _trial_rng(cfg.seed, prop_index, i)))
-            if r > worst:
-                worst, worst_i = r, i
-        return worst, worst_i
-
-    workers = _worker_count()
-    if workers == 1 or n < 4 * workers:
-        worst, worst_i = run_range(range(n))
-    else:
-        chunks = [range(j, n, workers) for j in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_range, chunks))
-        worst, worst_i = max(results)
+        except Exception as exc:  # a raising trial fails its property, not the run
+            worst_i, error = i, _describe(exc)
+            break
+        if r > worst:
+            worst, worst_i = r, i
     return PropertyReport(
         name=prop.name, statement=prop.statement, module=prop.module,
         tol=tol, trials=n, max_residual=worst, worst_trial=worst_i,
-        passed=worst <= tol,
+        passed=error is None and worst <= tol, error=error,
     )
 
 
@@ -217,7 +208,7 @@ def replay(spec: str, k: int, tol: float | None = None) -> int:
     except ValueError as exc:
         raise UsageError("replay spec must be suite:seed:index") from exc
     cfg = SuiteConfig(suite=suite, k=k, seed=seed, tol=tol)
-    space = SpaceConfig(k=k, seed=seed)
+    space = SpaceConfig(k=k)
     failures = 0
     print(f"replaying trial {index} of suite {suite} (seed={seed}, k={k})")
     for prop in suite_properties(suite):
@@ -230,14 +221,17 @@ def replay(spec: str, k: int, tol: float | None = None) -> int:
             print(f"  [----] {prop.name}: index {index} beyond reference "
                   f"trial count {n}")
             continue
-        rng = _trial_rng(seed, prop_index, index)
-        residual = float(prop.fn(space, rng))
         tol_eff = cfg.tol if cfg.tol is not None else prop.tol
-        status = "PASS" if residual <= tol_eff else "FAIL"
-        if residual > tol_eff:
+        try:
+            residual = float(prop.fn(space, _trial_rng(seed, prop_index, index)))
+        except Exception as exc:  # a raising trial fails, as in run_suite
+            status, detail = "FAIL", f"raised {_describe(exc)}"
+        else:
+            status = "PASS" if residual <= tol_eff else "FAIL"
+            detail = f"residual={residual:9.3e}  tol={tol_eff:7.1e}"
+        if status == "FAIL":
             failures += 1
-        print(f"  [{status}] {prop.name:<36} residual={residual:9.3e}  "
-              f"tol={tol_eff:7.1e}")
+        print(f"  [{status}] {prop.name:<36} {detail}")
         print(f"          {prop.statement}")
     return 1 if failures else 0
 
@@ -277,9 +271,6 @@ def main(argv=None) -> int:
         return 0 if report.passed else 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except GeometryError as exc:
-        print(f"usage error: invalid configuration: {exc}", file=sys.stderr)
         return 2
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,9 +130,10 @@ class OrthoComplement:
         (infinity, origin); in it the complement is the set |z| = rho,
         t = 0.  Computed once per instance.
         """
-        cached = getattr(self, "_chart_cache", None)
-        if cached is not None:
-            return cached
+        return self._chart_and_radius
+
+    @cached_property
+    def _chart_and_radius(self):
         omega = self.F.point_at(math.inf)
         o = self.eta(omega)
         c = chain_chart(self.F, omega, o)
@@ -144,7 +146,6 @@ class OrthoComplement:
             q = -q1.t * tau
             if not q > 0:
                 raise GeometryError("involution is not fixed-point free in the chart")
-            object.__setattr__(self, "_chart_cache", (c, q ** 0.25))
             return c, q ** 0.25
         raise GeometryError("could not place the involution in canonical position")
 
@@ -170,29 +171,24 @@ class OrthoComplement:
             out.append(u)
         return out
 
-
-def _membership_data(A: OrthoComplement):
-    """Per-complement cache: determining charts with eta targets, and spheres."""
-    data = getattr(A, "_membership_cache", None)
-    if data is not None:
-        return data
-    charts = []
-    for w in A.determining_points():
-        n = chain_chart(A.F, w)
-        charts.append((n, n.inverse(), A.eta(w)))
-    c, rho = A.chart_and_radius()
-    cinv = c.inverse()
-    m = A.k - 1
-    x = cinv(point(np.zeros(m), rho * rho))
-    y = cinv(point(np.zeros(m), -rho * rho))
-    o = cinv(point(np.zeros(m), 0.0))
-    spheres = (
-        sphere_between(o, A.F.point_at(math.inf), x),  # covered by R-circles through x, y
-        sphere_between(x, y, o),                       # through o, omega between x and y
-    )
-    data = (charts, spheres)
-    object.__setattr__(A, "_membership_cache", data)
-    return data
+    @cached_property
+    def _membership_data(self):
+        """Determining charts with their eta targets, and the two spheres."""
+        charts = []
+        for w in self.determining_points():
+            n = chain_chart(self.F, w)
+            charts.append((n, n.inverse(), self.eta(w)))
+        c, rho = self.chart_and_radius()
+        cinv = c.inverse()
+        m = self.k - 1
+        x = cinv(point(np.zeros(m), rho * rho))
+        y = cinv(point(np.zeros(m), -rho * rho))
+        o = cinv(point(np.zeros(m), 0.0))
+        spheres = (
+            sphere_between(o, self.F.point_at(math.inf), x),  # covered by R-circles through x, y
+            sphere_between(x, y, o),                          # through o, omega between x and y
+        )
+        return charts, spheres
 
 
 def ortho_membership_residuals(A: OrthoComplement, u: BoundaryPoint):
@@ -208,7 +204,7 @@ def ortho_membership_residuals(A: OrthoComplement, u: BoundaryPoint):
     """
     if A.F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
         raise GeometryError("membership in the complement needs a point off the chain")
-    charts, spheres = _membership_data(A)
+    charts, spheres = A._membership_data
     m = A.k - 1
     r3 = 0.0
     for n, ninv, target in charts:

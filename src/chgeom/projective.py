@@ -34,6 +34,7 @@ from .core import (
     BoundaryPoint,
     GeometryError,
     dist,
+    heis_inv,
     infinity,
     origin,
     point,
@@ -50,7 +51,7 @@ __all__ = [
     "herm",
     "lift",
     "drop",
-    "apply",
+    "chart",
     "make_translation",
     "make_rotation",
     "make_dilation",
@@ -241,11 +242,6 @@ def _generic_points(k: int):
     return pts[: k + 3] if len(pts) >= k + 3 else pts
 
 
-def apply(g: MoebiusMap, p: BoundaryPoint) -> BoundaryPoint:
-    """Boundary action drop(g . lift(p))."""
-    return g(p)
-
-
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
@@ -299,6 +295,27 @@ def make_inversion(k: int) -> MoebiusMap:
     for i in range(1, k):
         g[i, i] = 1.0
     return MoebiusMap(g, check=False)
+
+
+def chart(omega: BoundaryPoint, o: BoundaryPoint | None = None) -> MoebiusMap:
+    """Chart sending omega to infinity and, when given, o to the origin.
+
+    Identity when omega is already infinite, otherwise the gauge
+    inversion after translating omega to the origin; then the
+    translation carrying the image of o to the origin.
+    """
+    if omega.infinite:
+        n = MoebiusMap.identity(omega.k)
+    else:
+        q = heis_inv(omega)
+        n = make_inversion(omega.k) @ make_translation(q.z, q.t)
+    if o is None:
+        return n
+    o1 = n(o)
+    if o1.infinite:
+        raise GeometryError("chart anchor collides with omega")
+    q = heis_inv(o1)
+    return make_translation(q.z, q.t) @ n
 
 
 def axis_reflection(k: int) -> MoebiusMap:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (BoundaryPoint, GeometryError, SpaceConfig, dist_batch,
                    infinity, point)
-from .circles import CCircle, RCircle, ccircle_through
+from .circles import OFF_CIRCLE_MARGIN, CCircle, RCircle, ccircle_through
 from .ortho import OrthoComplement, canonical_involution
 from .projective import (
     MoebiusMap,
@@ -142,18 +142,12 @@ def canonical_rcircle(k: int) -> RCircle:
     )
 
 
-def _transported_chain(g: MoebiusMap, base: CCircle) -> CCircle:
-    return CCircle(map=g @ base.map, span=tuple(g(p) for p in base.span))
-
-
 def sample_chain(cfg: SpaceConfig, rng: np.random.Generator) -> CCircle:
-    return _transported_chain(random_moebius(cfg, rng), canonical_chain(cfg.k))
+    return canonical_chain(cfg.k).transported(random_moebius(cfg, rng))
 
 
 def sample_rcircle(cfg: SpaceConfig, rng: np.random.Generator) -> RCircle:
-    g = random_moebius(cfg, rng)
-    base = canonical_rcircle(cfg.k)
-    return RCircle(map=g @ base.map, witnesses=tuple(g(p) for p in base.witnesses))
+    return canonical_rcircle(cfg.k).transported(random_moebius(cfg, rng))
 
 
 def sample_orthopair(cfg: SpaceConfig, rng: np.random.Generator) -> tuple:
@@ -172,7 +166,7 @@ def sample_orthopair(cfg: SpaceConfig, rng: np.random.Generator) -> tuple:
     F0 = canonical_chain(k)
     F1 = ccircle_through(point(e1, 0.0), point(-e1, 0.0))
     g = random_moebius(cfg, rng)
-    return _transported_chain(g, F0), _transported_chain(g, F1)
+    return F0.transported(g), F1.transported(g)
 
 
 def sample_ortho_complement(cfg: SpaceConfig, rng: np.random.Generator) -> OrthoComplement:
@@ -180,8 +174,13 @@ def sample_ortho_complement(cfg: SpaceConfig, rng: np.random.Generator) -> Ortho
 
     The involution anchors are kept separated on the chain and the
     resulting canonical chart is required to stay moderately
-    conditioned, so that membership margins survive the transport.
+    conditioned, so that membership margins survive the transport.  A
+    complement squeezed against its chain (a tiny canonical radius) is
+    rejected too: a fixed probe point of it must clear the margin that
+    ``OrthoComplement.sample_points`` demands of its samples.
     """
+    if cfg.k < 2:
+        raise GeometryError("the complement is empty for k = 1")
     for _ in range(50):
         F = sample_chain(cfg, rng)
         taus = np.sort(rng.uniform(-2.0, 2.0, size=2))
@@ -192,9 +191,13 @@ def sample_ortho_complement(cfg: SpaceConfig, rng: np.random.Generator) -> Ortho
         rho = math.exp(rng.uniform(-0.35, 0.35))
         A = OrthoComplement(F=F, eta=canonical_involution(F, omega, o, rho))
         try:
-            chart, _ = A.chart_and_radius()
+            chart, radius = A.chart_and_radius()
         except GeometryError:
             continue
-        if float(np.max(np.abs(chart.g))) <= 50.0:
+        if float(np.max(np.abs(chart.g))) > 50.0:
+            continue
+        probe = np.zeros(cfg.k - 1, dtype=complex)
+        probe[0] = radius
+        if F.membership_residual(chart.inverse()(point(probe, 0.0))) > 10 * OFF_CIRCLE_MARGIN:
             return A
     raise GeometryError("failed to sample a well-conditioned complement")

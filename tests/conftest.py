@@ -11,4 +11,4 @@ def rng():
 
 @pytest.fixture(params=[2, 3])
 def space(request):
-    return SpaceConfig(k=request.param, seed=11)
+    return SpaceConfig(k=request.param)

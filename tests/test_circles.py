@@ -25,12 +25,12 @@ from chgeom.circles import (
     conjugate_pole,
     eta,
     mu,
-    normalize_to_infinity,
     rcircle_through_hitting,
     reflection_in_ccircle,
     sphere_between,
     unitary_with_first_column,
 )
+from chgeom.projective import chart
 from chgeom.sampling import (
     canonical_chain,
     sample_chain,
@@ -48,13 +48,21 @@ def off_chain_point(cfg, rng, F):
 
 
 def test_normalize_to_infinity_cases():
-    assert np.allclose(normalize_to_infinity(infinity(2)).g, np.eye(3))
-    g = normalize_to_infinity(origin(2))
+    assert np.allclose(chart(infinity(2)).g, np.eye(3))
+    g = chart(origin(2))
     assert g(origin(2)).infinite
     p = point([1], 1.0)
-    h = normalize_to_infinity(p)
+    h = chart(p)
     assert h(p).infinite
     assert h.form_residual() < 1e-12
+    # with a second point: p to infinity, q to the origin
+    q = point([0.5 - 1j], -2.0)
+    c = chart(p, q)
+    assert c(p).infinite
+    assert chordal_sq(c(q), origin(2)) < 1e-14
+    assert chordal_sq(chart(infinity(2), q)(q), origin(2)) < 1e-14
+    with pytest.raises(GeometryError):
+        chart(p, p)
 
 
 def test_unitary_completion(rng):

@@ -36,8 +36,6 @@ def test_space_config_validation():
     SpaceConfig(k=1)
     with pytest.raises(GeometryError):
         SpaceConfig(k=0)
-    with pytest.raises(GeometryError):
-        SpaceConfig(k=2, tol_rel=0.0)
 
 
 def test_gauge_values():

@@ -1,16 +1,18 @@
 """Suite registry, determinism, report formats, CLI exit codes."""
 
 import json
-import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from chgeom.core import GeometryError
 from chgeom.harness import (
     REPORT_SCHEMA,
     SuiteConfig,
     UsageError,
+    _run_property,
     main,
     replay,
     run_suite,
@@ -65,7 +67,9 @@ def test_report_schema_fields():
     assert set(data["config"]) == {"k", "trials", "seed", "tol", "format"}
     for prop in data["properties"]:
         assert set(prop) == {"name", "statement", "module", "tol", "trials",
-                             "max_residual", "worst_trial", "pass", "skipped"}
+                             "max_residual", "worst_trial", "pass", "skipped",
+                             "error"}
+        assert prop["error"] is None
 
 
 def test_min_k_skipping():
@@ -134,16 +138,60 @@ def test_main_replay_flag(capsys):
 
 
 def test_console_script_and_threads():
-    env = dict(os.environ, VERIFY_THREADS="4")
     proc = subprocess.run(
         [sys.executable, "-m", "chgeom.harness", "--suite", "join",
          "--dim", "2", "--trials", "40", "--seed", "6", "--format", "json"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
-    # the worker pool must not change the deterministic residuals
+    # a separate process reproduces the in-process residuals exactly
     single = run_suite(SuiteConfig(suite="join", k=2, trials=40, seed=6))
-    pooled = {p["name"]: p["max_residual"] for p in data["properties"]}
+    script = {p["name"]: p["max_residual"] for p in data["properties"]}
     for p in single.properties:
-        assert pooled[p.name] == p.max_residual
+        assert script[p.name] == p.max_residual
+
+
+def _raises_at_trial_3(cfg, rng):
+    # trial streams are seeded by (seed, property index, trial index)
+    if rng.bit_generator.seed_seq.entropy[-1] == 3:
+        raise GeometryError("injected at trial 3")
+    return 0.0
+
+
+def test_raising_trial_fails_its_property(capsys):
+    i = next(i for i, p in enumerate(REGISTRY) if p.name == "sectional_bounds")
+    saved = REGISTRY[i]
+    REGISTRY[i] = replace(saved, fn=_raises_at_trial_3)
+    try:
+        rep = run_suite(SuiteConfig(suite="holonomy", k=2, trials=100, seed=5))
+        code = main(["--suite", "holonomy", "--dim", "2", "--trials", "100",
+                     "--seed", "5"])
+        out = capsys.readouterr().out
+        assert replay("holonomy:5:3", k=2) == 1
+        replayed = capsys.readouterr().out
+    finally:
+        REGISTRY[i] = saved
+    by_name = {p.name: p for p in rep.properties}
+    failing = by_name["sectional_bounds"]
+    assert not failing.passed and failing.worst_trial == 3
+    assert failing.error == "GeometryError: injected at trial 3"
+    assert all(p.passed for p in rep.properties if p is not failing)
+    assert code == 1
+    assert "[FAIL] sectional_bounds" in out
+    assert "trial 3 raised GeometryError: injected at trial 3" in out
+    assert "--replay holonomy:5:3" in out
+    assert "raised GeometryError: injected at trial 3" in replayed
+
+
+@pytest.mark.parametrize("seed, name", [
+    (31, "standard_rcircle_harmonic"),
+    (51, "ortho_membership_tests_agree"),
+    (54, "ortho_reflection_stability"),
+])
+def test_squeezed_complements_are_resampled(seed, name):
+    # these suite seeds once drew complements too close to their chain to
+    # sample from, and the trial raised
+    i = next(i for i, p in enumerate(REGISTRY) if p.name == name)
+    rep = _run_property(REGISTRY[i], i, SuiteConfig("all", k=3, trials=600, seed=seed))
+    assert rep.passed and rep.error is None
