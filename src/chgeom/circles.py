@@ -40,6 +40,7 @@ from .core import (
 )
 from .projective import (
     MoebiusMap,
+    _norm,
     axis_reflection,
     chart,
     lift,
@@ -74,6 +75,7 @@ MEMBERSHIP_TOL = 1e-8
 OFF_CIRCLE_MARGIN = 1e-6
 
 _DEFAULT_PARAMS = (0.0, 1.0, -1.0, 0.5, 2.0, -2.0, math.inf)
+_ANCHOR_PARAMS = (math.inf, 0.0, 1.0, -1.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,11 @@ class CCircle:
     def _reflection(self) -> MoebiusMap:
         return self.map @ axis_reflection(self.k) @ self.map.inverse()
 
+    @cached_property
+    def _anchors(self) -> tuple:
+        """Chain points at the fixed parameters used to place chart origins."""
+        return tuple(self.point_at(tau) for tau in _ANCHOR_PARAMS)
+
     def membership_residual(self, p: BoundaryPoint) -> float:
         """Squared distance of the unit null lift from the chain's complex 2-plane.
 
@@ -125,7 +132,7 @@ class CCircle:
         """
         Q = self._plane_basis
         X = lift(p)
-        return float(np.linalg.norm(X - Q @ (Q.conj().T @ X)) ** 2)
+        return float(_norm(X - Q @ (Q.conj().T @ X)) ** 2)
 
     def contains(self, p: BoundaryPoint, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.membership_residual(p) <= tol
@@ -178,12 +185,12 @@ class RCircle:
         """
         k = self.k
         Y = self._ginv @ lift(p)
-        Y = Y / np.linalg.norm(Y)
+        Y = Y / _norm(Y)
         tail = Y[2:k]
         v = np.array([Y[0], Y[1], Y[k]])
         # min over phases of || Im(e^{-i a} v) ||^2 = (|v|^2 - |v.v|) / 2
-        phase_part = 0.5 * (float(np.sum(np.abs(v) ** 2)) - abs(np.sum(v * v)))
-        return float(np.sum(np.abs(tail) ** 2)) + max(phase_part, 0.0)
+        phase_part = 0.5 * (float((np.abs(v) ** 2).sum()) - abs((v * v).sum()))
+        return float((np.abs(tail) ** 2).sum()) + max(phase_part, 0.0)
 
     def contains(self, p: BoundaryPoint, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.membership_residual(p) <= tol
@@ -195,8 +202,7 @@ class RCircle:
 
 def _chain_point_away_from(F: CCircle, avoid: BoundaryPoint) -> BoundaryPoint:
     best, best_d = None, -1.0
-    for tau in (math.inf, 0.0, 1.0, -1.0, 3.0):
-        q = F.point_at(tau)
+    for q in F._anchors:
         d = dist(q, avoid)
         d = d if math.isfinite(d) else 1e30
         if d > best_d:
@@ -262,7 +268,7 @@ def _hit_chart(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint):
         raise GeometryError("u must lie off the chain")
     n = chain_chart(F, omega)
     u1 = n(u)
-    if np.linalg.norm(u1.z) <= 1e-14:
+    if _norm(u1.z) <= 1e-14:
         raise GeometryError("u projects onto omega; configuration is degenerate")
     # the chart axis sits at z = 0, so the horizontal line through u1
     # toward the axis lands on the fiber coordinate (0, t_u)
@@ -279,7 +285,7 @@ def _rcircle_and_hit(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint):
     n, u1, hit1 = _hit_chart(F, omega, u)
     zu, tu = u1.z, u1.t
     w = -zu
-    nw = float(np.linalg.norm(w))
+    nw = _norm(w)
     U = unitary_with_first_column(w / nw)
     line = make_translation(zu, tu) @ make_rotation(U) @ make_dilation(nw, k)
     ninv = n.inverse()

@@ -54,6 +54,8 @@ DEFAULT_TOL = 1e-9
 # least three orders of magnitude above it.
 COINCIDENCE_TOL = 1e-12
 
+_COMPLEX = np.dtype(complex)
+
 
 class GeometryError(ValueError):
     """Raised when an operation is applied outside its geometric domain."""
@@ -109,9 +111,10 @@ def point(z, t: float) -> BoundaryPoint:
 
     ``z`` may be a scalar (k = 2), a sequence, or an empty sequence (k = 1).
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex)).reshape(-1)
+    if not (type(z) is np.ndarray and z.ndim == 1 and z.dtype is _COMPLEX):
+        z = np.atleast_1d(np.asarray(z, dtype=complex)).reshape(-1)
     t = float(t)
-    if not (np.all(np.isfinite(z.view(float))) and math.isfinite(t)):
+    if not (math.isfinite(t) and np.isfinite(z).all()):
         raise GeometryError("finite points need finite coordinates")
     return BoundaryPoint(z=z, t=t)
 
@@ -283,12 +286,20 @@ class CrossRatioTriple:
 
 
 def is_admissible(points, tol: float = COINCIDENCE_TOL) -> bool:
-    """True if no entry of the tuple occurs three or more times."""
+    """True if no entry of the tuple occurs three or more times.
+
+    Tests each unordered pair once; every entry counts as one copy of
+    itself, since ``same_point`` is reflexive and symmetric.
+    """
     n = len(points)
+    copies = [1] * n
     for i in range(n):
-        copies = sum(1 for j in range(n) if same_point(points[i], points[j], tol))
-        if copies >= 3:
-            return False
+        for j in range(i + 1, n):
+            if same_point(points[i], points[j], tol):
+                copies[i] += 1
+                copies[j] += 1
+                if copies[i] >= 3 or copies[j] >= 3:
+                    return False
     return True
 
 

@@ -5,17 +5,19 @@ Suites bundle the registered properties; a run is deterministic given
 seeded by (seed, property index, trial index), so results do not depend
 on the order of the trials, and any failing sample is replayable with
 ``--replay suite:seed:index``.  Trials run one after another in one
-thread.  A trial that raises fails its property: the report names the
-exception and the trial index, and the property runs no further trials.
+thread.  A trial that raises, or returns a non-finite residual, fails
+its property: the report names the exception (or the residual) and the
+trial index, and the property runs no further trials.
 
-Exit codes: 0 all properties pass, 1 a property failed (a raising trial
-included), 2 usage error.
+Exit codes: 0 all properties pass, 1 a property failed (a raising or
+non-finite trial included), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -79,7 +81,7 @@ class PropertyReport:
     worst_trial: int
     passed: bool
     skipped: bool = False
-    error: str | None = None   # exception raised by trial worst_trial
+    error: str | None = None   # exception raised (or non-finite residual) at worst_trial
 
     def as_dict(self) -> dict:
         return {
@@ -169,6 +171,9 @@ def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig) -> Property
             r = float(prop.fn(space, _trial_rng(cfg.seed, prop_index, i)))
         except Exception as exc:  # a raising trial fails its property, not the run
             worst_i, error = i, _describe(exc)
+            break
+        if not math.isfinite(r):  # fails like a raising trial; r > worst misses NaN
+            worst_i, error = i, f"non-finite residual {r}"
             break
         if r > worst:
             worst, worst_i = r, i

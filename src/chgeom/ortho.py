@@ -168,6 +168,9 @@ class OrthoComplement:
                 u = cinv(point(rho * direction, 0.0))
                 if self.F.membership_residual(u) > 10 * OFF_CIRCLE_MARGIN:
                     break
+            else:
+                raise GeometryError("every sampled complement point lies within "
+                                    "the chain margin")
             out.append(u)
         return out
 

@@ -21,6 +21,15 @@ calibrated so that dist(p, q)^2 = 2 |<X_p, X_q>| for lifts normalized
 against the lift of infinity.  The constant 2 is pinned by the vertical,
 unit-horizontal and translated-horizontal anchor distances; see
 ``distance_pairing_constant``.
+
+Kernel contract: the scalar primitives (``lift``, ``drop``, ``herm``,
+``_norm``) run on every point a Moebius map moves, so they avoid numpy's
+Python-level wrappers, but they keep numpy's array arithmetic: each
+performs the same floating-point operations in the same order as the
+``np.linalg.norm``/``np.sum``/``np.conj`` expressions it replaces, and
+refactors leave verification reports bit-identical.  Python ``complex``
+arithmetic or BLAS ``dot``/``vdot`` in their place would round
+differently in the last bit.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    _COMPLEX,
     BoundaryPoint,
     GeometryError,
     dist,
@@ -87,11 +97,21 @@ def form_matrix(k: int) -> np.ndarray:
     return H
 
 
+def _norm(X: np.ndarray) -> float:
+    """Euclidean norm of a 1-d complex vector.
+
+    The arithmetic of ``np.linalg.norm`` on such a vector, bit for bit,
+    without its dispatch.
+    """
+    return math.sqrt(X.real.dot(X.real) + X.imag.dot(X.imag))
+
+
 def herm(X: np.ndarray, Y: np.ndarray) -> complex:
     """Hermitian pairing <X, Y>, antilinear in the second argument."""
     k = X.shape[0] - 1
-    middle = complex(np.sum(X[1:k] * np.conj(Y[1:k]))) if k > 1 else 0.0
-    return X[0] * np.conj(Y[k]) + X[k] * np.conj(Y[0]) + middle
+    Yc = Y.conj()
+    middle = complex((X[1:k] * Yc[1:k]).sum()) if k > 1 else 0.0
+    return X[0] * Yc[k] + X[k] * Yc[0] + middle
 
 
 def _affine_lift(p: BoundaryPoint) -> np.ndarray:
@@ -110,7 +130,7 @@ def _affine_lift(p: BoundaryPoint) -> np.ndarray:
 def lift(p: BoundaryPoint) -> NullVector:
     """Unit-norm null vector representing ``p``; lift of infinity is e_0."""
     X = _affine_lift(p)
-    return X / np.linalg.norm(X)
+    return X / _norm(X)
 
 
 def drop(X: NullVector) -> BoundaryPoint:
@@ -123,9 +143,10 @@ def drop(X: NullVector) -> BoundaryPoint:
     defect explodes under division by a near-zero last coordinate, which
     is exactly the signature of a blurred image of infinity).
     """
-    X = np.asarray(X, dtype=complex)
+    if not (type(X) is np.ndarray and X.dtype is _COMPLEX):
+        X = np.asarray(X, dtype=complex)
     k = X.shape[0] - 1
-    norm = np.linalg.norm(X)
+    norm = _norm(X)
     if not norm > 0:
         raise GeometryError("zero vector does not define a boundary point")
     if abs(herm(X, X)) > NULL_TOL * norm * norm:

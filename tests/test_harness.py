@@ -184,6 +184,31 @@ def test_raising_trial_fails_its_property(capsys):
     assert "raised GeometryError: injected at trial 3" in replayed
 
 
+def _reject_nonstandard_constant(name):
+    raise AssertionError(f"report is not strict JSON: {name}")
+
+
+def test_nan_residual_fails_its_property(capsys):
+    # NaN compares false against every bound, so it must not slip through
+    i = next(i for i, p in enumerate(REGISTRY) if p.name == "sectional_bounds")
+    saved = REGISTRY[i]
+    REGISTRY[i] = replace(saved, fn=lambda cfg, rng: float("nan"))
+    try:
+        rep = run_suite(SuiteConfig(suite="holonomy", k=2, trials=100, seed=5))
+        code = main(["--suite", "holonomy", "--dim", "2", "--trials", "100",
+                     "--seed", "5", "--format", "json"])
+        out = capsys.readouterr().out
+    finally:
+        REGISTRY[i] = saved
+    failing = {p.name: p for p in rep.properties}["sectional_bounds"]
+    assert not failing.passed and failing.worst_trial == 0
+    assert failing.error == "non-finite residual nan"
+    assert failing.max_residual == 0.0
+    assert code == 1
+    data = json.loads(out, parse_constant=_reject_nonstandard_constant)
+    assert data["pass"] is False
+
+
 @pytest.mark.parametrize("seed, name", [
     (31, "standard_rcircle_harmonic"),
     (51, "ortho_membership_tests_agree"),

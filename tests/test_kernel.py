@@ -1,0 +1,141 @@
+"""Scalar point kernel: the lean expressions against the numpy formulas they replace.
+
+The kernel keeps numpy's array arithmetic, so each rewritten expression
+must agree with its reference bit for bit; every comparison here is
+exact equality.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from chgeom.core import (
+    GeometryError,
+    SpaceConfig,
+    infinity,
+    is_admissible,
+    origin,
+    point,
+    same_point,
+)
+from chgeom.projective import _norm, drop, herm, lift
+from chgeom.sampling import canonical_chain, canonical_rcircle, random_moebius, sample_point
+
+
+def _random_vector(rng, n, scale):
+    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def _herm_reference(X, Y):
+    k = X.shape[0] - 1
+    middle = complex(np.sum(X[1:k] * np.conj(Y[1:k]))) if k > 1 else 0.0
+    return X[0] * np.conj(Y[k]) + X[k] * np.conj(Y[0]) + middle
+
+
+def _admissible_reference(points, tol=1e-12):
+    n = len(points)
+    for i in range(n):
+        copies = sum(1 for j in range(n) if same_point(points[i], points[j], tol))
+        if copies >= 3:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_norm_matches_linalg_norm(rng, n):
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        for _ in range(200):
+            X = _random_vector(rng, n, scale)
+            assert _norm(X) == np.linalg.norm(X)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_herm_matches_reference(rng, n):
+    for scale in (1e-8, 1.0, 1e8):
+        for _ in range(200):
+            X, Y = _random_vector(rng, n, scale), _random_vector(rng, n, scale)
+            assert herm(X, Y) == _herm_reference(X, Y)
+
+
+def test_is_admissible_matches_all_pairs_count(rng):
+    space = SpaceConfig(k=3)
+    for _ in range(300):
+        p = sample_point(space, rng)
+        near = point(p.z, p.t + 1e-25)  # within the coincidence tolerance of p
+        pool = [p, infinity(3), near] + [sample_point(space, rng) for _ in range(3)]
+        for n_distinct in range(1, len(pool) + 1):
+            # drawing 4 entries from n_distinct covers 0 to 4 repeated entries
+            pts = [pool[i] for i in rng.integers(0, n_distinct, size=4)]
+            assert is_admissible(pts) == _admissible_reference(pts)
+
+
+def test_is_admissible_counts_infinity_copies():
+    k = 3
+    inf, o, q = infinity(k), origin(k), point([1.0, 0.0], 0.5)
+    assert is_admissible((inf, inf, o, q))
+    assert not is_admissible((inf, o, inf, inf))
+    assert not is_admissible((o, q, o, o))
+    assert is_admissible((o, inf, o, inf))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_chain_anchors_match_point_at(rng, k):
+    F = canonical_chain(k).transported(random_moebius(SpaceConfig(k=k), rng))
+    taus = (math.inf, 0.0, 1.0, -1.0, 3.0)
+    for q, tau in zip(F._anchors, taus):
+        p = F.point_at(tau)
+        assert q.infinite == p.infinite and q.t == p.t
+        assert np.array_equal(q.z, p.z)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_membership_residuals_match_reference(rng, k):
+    space = SpaceConfig(k=k)
+    F = canonical_chain(k).transported(random_moebius(space, rng))
+    sigma = canonical_rcircle(k).transported(random_moebius(space, rng))
+    for _ in range(200):
+        p = sample_point(space, rng)
+        Q = F._plane_basis
+        X = lift(p)
+        assert F.membership_residual(p) == float(np.linalg.norm(X - Q @ (Q.conj().T @ X)) ** 2)
+        Y = sigma._ginv @ lift(p)
+        Y = Y / np.linalg.norm(Y)
+        v = np.array([Y[0], Y[1], Y[k]])
+        phase = 0.5 * (float(np.sum(np.abs(v) ** 2)) - abs(np.sum(v * v)))
+        ref = float(np.sum(np.abs(Y[2:k]) ** 2)) + max(phase, 0.0)
+        assert sigma.membership_residual(p) == ref
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_point_rejects_nonfinite_coordinates(bad):
+    for z in ([0.5, bad], [complex(0.5, bad), 0.0], [complex(bad, 0.5), 0.0]):
+        with pytest.raises(GeometryError):
+            point(z, 0.0)
+        with pytest.raises(GeometryError):
+            point(np.array(z, dtype=complex), 0.0)
+    for z in ([0.5, 1.0], np.array([0.5, 1.0], dtype=complex)):
+        with pytest.raises(GeometryError):
+            point(z, bad)
+
+
+def test_point_keeps_coordinates_of_any_input():
+    z = np.array([0.5 + 1j, -2.0], dtype=complex)
+    for arg in (z, list(z), z.reshape(2, 1), tuple(z)):
+        p = point(arg, 1.5)
+        assert p.z.shape == (2,) and p.z.dtype == complex
+        assert np.array_equal(p.z, z) and p.t == 1.5
+    assert point(0.5j, 0.0).z.shape == (1,)
+    assert point([], 2.0).k == 1
+
+
+def test_drop_accepts_lists_and_real_arrays(rng):
+    space = SpaceConfig(k=3)
+    for _ in range(50):
+        p = sample_point(space, rng)
+        X = lift(p)
+        q = drop(list(X))
+        assert np.array_equal(q.z, drop(X).z) and q.t == drop(X).t
+    # real input is converted, as before
+    e0 = drop([1.0, 0.0, 0.0])
+    assert e0.infinite

@@ -252,3 +252,13 @@ def test_involution_validate_rejects_offenders(canonical_complement):
 
     with pytest.raises(GeometryError):
         InvolutionOnCircle(F=F, g=make_dilation(2.0, 2)).validate()
+
+
+def test_sample_points_refuses_squeezed_complement(rng):
+    # at canonical radius 1e-3 every complement point lies within the
+    # chain margin, so no sample may be handed out
+    F = canonical_chain(3)
+    A = OrthoComplement(F, canonical_involution(F, infinity(3), origin(3), 1e-3))
+    assert A.chart_and_radius()[1] <= 1e-3
+    with pytest.raises(GeometryError):
+        A.sample_points(1, rng)
