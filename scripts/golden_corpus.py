@@ -1,0 +1,90 @@
+"""Exact golden corpus of verification reports.
+
+The corpus holds the per-property report entries, every field but
+``wall_ms``, of ``run_suite("all", trials=600)`` for k=3 seeds 0-59 and
+k=2 seeds 0-19: 4,640 entries.  A pure refactor must reproduce each of
+them bit for bit; the comparison is on the JSON text of every entry, so
+even the sign of a zero counts.  The seeds are fixed: a difference is a
+finding, never a reason to pick other seeds.
+
+    python3 scripts/golden_corpus.py              # compare the full corpus
+    python3 scripts/golden_corpus.py --write      # regenerate from this tree
+
+Exit code 0 when every entry matches (or after ``--write``), 1 otherwise.
+The script imports the package from the ``src`` directory of its own
+checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gzip
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from chgeom.harness import SuiteConfig, run_suite  # noqa: E402
+
+CORPUS = ROOT / "tests" / "data" / "golden_exact.json.gz"
+TRIALS = 600
+RUNS = [(3, seed) for seed in range(60)] + [(2, seed) for seed in range(20)]
+
+
+def run_entries(k: int, seed: int) -> list[dict]:
+    """Report entries of one corpus run, tagged with their (k, seed)."""
+    report = run_suite(SuiteConfig(suite="all", k=k, trials=TRIALS, seed=seed))
+    return [{"k": k, "seed": seed, **p.as_dict()} for p in report.properties]
+
+
+def load_corpus() -> dict[tuple[int, int], list[dict]]:
+    with gzip.open(CORPUS, "rt", encoding="utf-8") as f:
+        entries = json.load(f)
+    runs: dict[tuple[int, int], list[dict]] = {}
+    for e in entries:
+        runs.setdefault((e["k"], e["seed"]), []).append(e)
+    return runs
+
+
+def differing(expected: list[dict], actual: list[dict]) -> list[str]:
+    """Names of the entries whose JSON text differs, plus any count mismatch."""
+    diffs = [a["name"] for e, a in zip(expected, actual)
+             if json.dumps(e, sort_keys=True) != json.dumps(a, sort_keys=True)]
+    if len(expected) != len(actual):
+        diffs.append(f"<{len(expected)} entries expected, {len(actual)} found>")
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--write", action="store_true",
+                        help="regenerate the corpus from this tree instead of comparing")
+    args = parser.parse_args(argv)
+
+    results = [run_entries(k, seed) for k, seed in RUNS]
+
+    if args.write:
+        CORPUS.parent.mkdir(parents=True, exist_ok=True)
+        entries = [e for run in results for e in run]
+        with gzip.GzipFile(CORPUS, "wb", mtime=0) as f:
+            f.write(json.dumps(entries, sort_keys=True).encode("utf-8"))
+        print(f"wrote {len(entries)} entries to {CORPUS.relative_to(ROOT)}")
+        return 0
+
+    corpus = load_corpus()
+    total = n_diff = n_fail = 0
+    for (k, seed), actual in zip(RUNS, results):
+        diffs = differing(corpus[(k, seed)], actual)
+        for name in diffs:
+            print(f"k={k} seed={seed}: {name} differs")
+        total += len(actual)
+        n_diff += len(diffs)
+        n_fail += sum(not e["pass"] for e in actual)
+    print(f"{n_diff} of {total} entries differ; {n_fail} failing properties")
+    return 0 if n_diff == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

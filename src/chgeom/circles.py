@@ -78,8 +78,26 @@ _DEFAULT_PARAMS = (0.0, 1.0, -1.0, 0.5, 2.0, -2.0, math.inf)
 _ANCHOR_PARAMS = (math.inf, 0.0, 1.0, -1.0, 3.0)
 
 
+def _sample_params(n: int, rng, step: float):
+    """Parameters for ``sample_points``: random with ``rng``, else the defaults
+    followed by multiples of ``step``."""
+    if rng is not None:
+        return np.tan(rng.uniform(-0.47 * math.pi, 0.47 * math.pi, size=n)) * 2.0
+    params = list(_DEFAULT_PARAMS)[:n]
+    while len(params) < n:
+        params.append(step * (len(params) - 2))
+    return params
+
+
+class _Membership:
+    """``contains``, for the shapes that define ``membership_residual``."""
+
+    def contains(self, p: BoundaryPoint, tol: float = MEMBERSHIP_TOL) -> bool:
+        return self.membership_residual(p) <= tol
+
+
 @dataclass(frozen=True)
-class CCircle:
+class CCircle(_Membership):
     """A chain, as the image of the vertical axis + infinity under ``map``."""
 
     map: MoebiusMap
@@ -96,13 +114,7 @@ class CCircle:
         return self.map(point(np.zeros(self.k - 1), tau))
 
     def sample_points(self, n: int, rng=None) -> list:
-        if rng is None:
-            taus = list(_DEFAULT_PARAMS)[:n]
-            while len(taus) < n:
-                taus.append(0.37 * (len(taus) - 2))
-        else:
-            taus = np.tan(rng.uniform(-0.47 * math.pi, 0.47 * math.pi, size=n)) * 2.0
-        return [self.point_at(float(t)) for t in taus]
+        return [self.point_at(float(t)) for t in _sample_params(n, rng, 0.37)]
 
     def transported(self, g: MoebiusMap) -> "CCircle":
         """The image chain g(F)."""
@@ -134,12 +146,9 @@ class CCircle:
         X = lift(p)
         return float(_norm(X - Q @ (Q.conj().T @ X)) ** 2)
 
-    def contains(self, p: BoundaryPoint, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.membership_residual(p) <= tol
-
 
 @dataclass(frozen=True)
-class RCircle:
+class RCircle(_Membership):
     """An R-circle, as the image of the horizontal first axis + infinity."""
 
     map: MoebiusMap
@@ -157,13 +166,7 @@ class RCircle:
         return self.map(point(z, 0.0))
 
     def sample_points(self, n: int, rng=None) -> list:
-        if rng is None:
-            ss = list(_DEFAULT_PARAMS)[:n]
-            while len(ss) < n:
-                ss.append(0.41 * (len(ss) - 2))
-        else:
-            ss = np.tan(rng.uniform(-0.47 * math.pi, 0.47 * math.pi, size=n)) * 2.0
-        return [self.point_at(float(s)) for s in ss]
+        return [self.point_at(float(s)) for s in _sample_params(n, rng, 0.41)]
 
     def transported(self, g: MoebiusMap) -> "RCircle":
         """The image R-circle g(sigma)."""
@@ -191,9 +194,6 @@ class RCircle:
         # min over phases of || Im(e^{-i a} v) ||^2 = (|v|^2 - |v.v|) / 2
         phase_part = 0.5 * (float((np.abs(v) ** 2).sum()) - abs((v * v).sum()))
         return float((np.abs(tail) ** 2).sum()) + max(phase_part, 0.0)
-
-    def contains(self, p: BoundaryPoint, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.membership_residual(p) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +262,9 @@ def _hit_chart(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint):
     k = F.k
     if k < 2:
         raise GeometryError("R-circles need complex dimension k >= 2")
-    if not F.contains(omega):
-        raise GeometryError("omega must lie on the chain")
+    n = chain_chart(F, omega)  # checks that omega lies on F
     if F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
         raise GeometryError("u must lie off the chain")
-    n = chain_chart(F, omega)
     u1 = n(u)
     if _norm(u1.z) <= 1e-14:
         raise GeometryError("u projects onto omega; configuration is degenerate")
@@ -280,28 +278,21 @@ def _chain_hit(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) -> BoundaryPo
     return n.inverse()(hit1)
 
 
-def _rcircle_and_hit(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint):
-    k = F.k
-    n, u1, hit1 = _hit_chart(F, omega, u)
-    zu, tu = u1.z, u1.t
-    w = -zu
-    nw = _norm(w)
-    U = unitary_with_first_column(w / nw)
-    line = make_translation(zu, tu) @ make_rotation(U) @ make_dilation(nw, k)
-    ninv = n.inverse()
-    hit = ninv(hit1)
-    circ = RCircle(map=ninv @ line, witnesses=(omega, u, hit))
-    return circ, hit
-
-
 def rcircle_through_hitting(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) -> RCircle:
     """The unique R-circle through omega (on F) and u (off F) meeting F again.
 
     In the chart where omega is infinite and F is the vertical axis this
     is the horizontal line s -> (z_u + s(z_F - z_u), t_u + 2 s Im<z_u, z_F - z_u>).
     """
-    circ, _ = _rcircle_and_hit(F, omega, u)
-    return circ
+    n, u1, hit1 = _hit_chart(F, omega, u)
+    zu, tu = u1.z, u1.t
+    w = -zu
+    nw = _norm(w)
+    U = unitary_with_first_column(w / nw)
+    line = make_translation(zu, tu) @ make_rotation(U) @ make_dilation(nw, F.k)
+    ninv = n.inverse()
+    hit = ninv(hit1)
+    return RCircle(map=ninv @ line, witnesses=(omega, u, hit))
 
 
 def mu(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) -> BoundaryPoint:
@@ -320,8 +311,6 @@ def eta(F: CCircle, u: BoundaryPoint, omega: BoundaryPoint) -> BoundaryPoint:
 
     Fixed-point free on F, and Moebius as a map of F.
     """
-    if F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
-        raise GeometryError("u must lie off the chain")
     return _chain_hit(F, omega, u)
 
 
@@ -351,7 +340,7 @@ def conjugate_pole(F: CCircle, u: BoundaryPoint) -> BoundaryPoint:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(_Membership):
     """Sphere between two poles: the harmonicity class of x relative to them.
 
     In the chart where omega_prime is infinite this is the metric sphere
@@ -369,9 +358,6 @@ class Sphere:
 
     def membership_residual(self, p: BoundaryPoint) -> float:
         return harmonicity_residual(self.omega, self.x, self.omega_prime, p)
-
-    def contains(self, p: BoundaryPoint, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.membership_residual(p) <= tol
 
     def radius(self) -> float:
         """Radius of the sphere in the metric sending omega_prime to infinity."""

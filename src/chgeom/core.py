@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -131,16 +132,13 @@ def infinity(k: int) -> BoundaryPoint:
 # Heisenberg group operations
 # ---------------------------------------------------------------------------
 
-def _herm(z: np.ndarray, w: np.ndarray) -> complex:
-    # <z, w> = sum z_i conj(w_i) = conj(vdot(z, w))
-    return complex(np.vdot(z, w)).conjugate()
-
-
 def heis_mul(p: BoundaryPoint, q: BoundaryPoint) -> BoundaryPoint:
     """Heisenberg product (z,t)(z',t') = (z+z', t+t'+2 Im<z,z'>)."""
     if p.infinite or q.infinite:
         raise GeometryError("group product is defined for finite points only")
-    return BoundaryPoint(z=p.z + q.z, t=p.t + q.t + 2.0 * _herm(p.z, q.z).imag)
+    # <z, z'> = sum z_i conj(z'_i) = conj(vdot(z, z'))
+    return BoundaryPoint(z=p.z + q.z,
+                         t=p.t + q.t + 2.0 * complex(np.vdot(p.z, q.z)).conjugate().imag)
 
 
 def heis_inv(p: BoundaryPoint) -> BoundaryPoint:
@@ -192,8 +190,8 @@ def dist_w(omega: BoundaryPoint, p: BoundaryPoint, q: BoundaryPoint) -> float:
     """
     if omega.infinite:
         return dist(p, q)
-    p_is_w = same_point(p, omega)
-    q_is_w = same_point(q, omega)
+    dp, dq = dist(p, omega), dist(q, omega)
+    p_is_w, q_is_w = dp <= COINCIDENCE_TOL, dq <= COINCIDENCE_TOL
     if p_is_w and q_is_w:
         return 0.0
     if p_is_w or q_is_w:
@@ -201,10 +199,10 @@ def dist_w(omega: BoundaryPoint, p: BoundaryPoint, q: BoundaryPoint) -> float:
     if p.infinite and q.infinite:
         return 0.0
     if p.infinite:
-        return 1.0 / dist(q, omega)
+        return 1.0 / dq
     if q.infinite:
-        return 1.0 / dist(p, omega)
-    return dist(p, q) / (dist(p, omega) * dist(q, omega))
+        return 1.0 / dp
+    return dist(p, q) / (dp * dq)
 
 
 def pairing(p: BoundaryPoint, q: BoundaryPoint) -> float:
@@ -225,9 +223,11 @@ def pairing(p: BoundaryPoint, q: BoundaryPoint) -> float:
 
 
 def same_point(p: BoundaryPoint, q: BoundaryPoint, tol: float = COINCIDENCE_TOL) -> bool:
-    """Equality up to tolerance in the gauge metric."""
-    if p.infinite or q.infinite:
-        return p.infinite and q.infinite
+    """Equality up to tolerance in the gauge metric.
+
+    No branch for infinity: ``dist`` is 0 between two infinities and inf
+    against one.
+    """
     return dist(p, q) <= tol
 
 
@@ -285,27 +285,27 @@ class CrossRatioTriple:
         return self.max_difference(other) <= tol
 
 
+def _pair_dists(points) -> dict:
+    """dist(points[i], points[j]) for every pair i < j, in that argument order."""
+    return {(i, j): dist(points[i], points[j]) for i, j in combinations(range(len(points)), 2)}
+
+
+def _admissible(n: int, dists: dict, tol: float) -> bool:
+    copies = [1] * n
+    for (i, j), d in dists.items():
+        if d <= tol:
+            copies[i] += 1
+            copies[j] += 1
+    return max(copies, default=0) < 3
+
+
 def is_admissible(points, tol: float = COINCIDENCE_TOL) -> bool:
     """True if no entry of the tuple occurs three or more times.
 
-    Tests each unordered pair once; every entry counts as one copy of
-    itself, since ``same_point`` is reflexive and symmetric.
+    Tests each unordered pair once, with the coincidence test of
+    ``same_point``; every entry counts as one copy of itself.
     """
-    n = len(points)
-    copies = [1] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if same_point(points[i], points[j], tol):
-                copies[i] += 1
-                copies[j] += 1
-                if copies[i] >= 3 or copies[j] >= 3:
-                    return False
-    return True
-
-
-def _require_admissible(points) -> None:
-    if not is_admissible(points):
-        raise GeometryError("quadruple is not admissible (an entry repeats 3+ times)")
+    return _admissible(len(points), _pair_dists(points), tol)
 
 
 def crt(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint,
@@ -314,12 +314,16 @@ def crt(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint,
 
     Computed from null-lift pairings, so entries at infinity need no
     branch and the result does not depend on which metric of the Moebius
-    structure is used.
+    structure is used.  The six distances serve both the admissibility
+    test and the pairings (see :func:`pairing`).
     """
-    _require_admissible((x, y, z, u))
-    a = math.sqrt(pairing(x, y) * pairing(z, u))
-    b = math.sqrt(pairing(x, z) * pairing(y, u))
-    c = math.sqrt(pairing(x, u) * pairing(y, z))
+    dists = _pair_dists((x, y, z, u))
+    if not _admissible(4, dists, COINCIDENCE_TOL):
+        raise GeometryError("quadruple is not admissible (an entry repeats 3+ times)")
+    w = {ij: 1.0 if d == math.inf else 0.5 * d * d for ij, d in dists.items()}
+    a = math.sqrt(w[0, 1] * w[2, 3])
+    b = math.sqrt(w[0, 2] * w[1, 3])
+    c = math.sqrt(w[0, 3] * w[1, 2])
     return CrossRatioTriple.from_components(a, b, c)
 
 
@@ -348,12 +352,9 @@ def _ptolemy_terms(x, y, z, u, power: float):
     n_inf = sum(1 for p in pts if p.infinite)
     if n_inf > 1:
         raise GeometryError("at most one entry of a Ptolemy quadruple may be infinite")
-    if n_inf == 0:
-        d = lambda p, q: dist(p, q) ** power
-        return (d(x, z) * d(y, u), d(x, y) * d(z, u), d(x, u) * d(y, z))
-    # One entry infinite: each product carries exactly one infinite factor,
-    # which cancels between the three terms, leaving a triangle comparison
-    # among the remaining points.
+    # With one entry infinite, each product carries exactly one infinite
+    # factor, which cancels between the three terms, leaving a triangle
+    # comparison among the remaining points.
     d = lambda p, q: 1.0 if (p.infinite or q.infinite) else dist(p, q) ** power
     return (d(x, z) * d(y, u), d(x, y) * d(z, u), d(x, u) * d(y, z))
 

@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     BoundaryPoint,
     GeometryError,
+    dist,
     dist_w,
     point,
     same_point,
@@ -134,14 +135,12 @@ def busemann(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint,
 
     # distance differences evaluated in the chart, where the ray points
     # stay exact coordinates; the chart factor lam converts back
-    from .core import dist as _dist
-
     e1 = np.zeros(k - 1, dtype=complex)
     e1[0] = 1.0
     vals = []
     for s in _LIMIT_SCALES:
         ps1 = point(sgn * s * e1, 0.0)
-        vals.append(lam * (_dist(x1, ps1) - s))
+        vals.append(lam * (dist(x1, ps1) - s))
     # first-order Richardson step on the doubling sequence
     return 2.0 * vals[-1] - vals[-2]
 

@@ -149,9 +149,6 @@ class OrthoComplement:
             return c, q ** 0.25
         raise GeometryError("could not place the involution in canonical position")
 
-    def determining_points(self) -> list:
-        return self.F.sample_points(3)
-
     def sample_points(self, n: int, rng) -> list:
         c, rho = self.chart_and_radius()
         cinv = c.inverse()
@@ -178,7 +175,7 @@ class OrthoComplement:
     def _membership_data(self):
         """Determining charts with their eta targets, and the two spheres."""
         charts = []
-        for w in self.determining_points():
+        for w in self.F.sample_points(3):
             n = chain_chart(self.F, w)
             charts.append((n, n.inverse(), self.eta(w)))
         c, rho = self.chart_and_radius()
@@ -314,11 +311,9 @@ class JoinDecomposition:
     yo: float
 
 
-def _radius_of(F_prime, chart: MoebiusMap, rng=None) -> float:
+def _radius_of(F_prime, chart: MoebiusMap) -> float:
     """Radius of F' in the chart, asserted constant over 10 sample points."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    pts = F_prime.sample_points(10, rng)
+    pts = F_prime.sample_points(10, np.random.default_rng(0))
     radii = np.array([gauge(chart(p)) for p in pts])
     mean = float(np.mean(radii))
     if float(np.max(np.abs(radii - mean))) > 1e-10 * max(mean, 1.0):
@@ -425,9 +420,12 @@ def standard_rcircle(F: CCircle, eta: InvolutionOnCircle, F_prime,
         raise GeometryError("x must lie off the chain")
     if not F.contains(u):
         raise GeometryError("u must lie on the chain")
-    if F_prime is not None and hasattr(F_prime, "membership_residual"):
-        if F_prime.membership_residual(x) > 1e-6:
-            raise GeometryError("x must lie on the orthogonal subspace")
+    if isinstance(F_prime, OrthoComplement):
+        on_subspace = ortho_contains(F_prime, x, tol=1e-6)
+    else:
+        on_subspace = F_prime is None or F_prime.contains(x, tol=1e-6)
+    if not on_subspace:
+        raise GeometryError("x must lie on the orthogonal subspace")
     sigma = rcircle_through_hitting(F, u, x)
     v = chain_eta(F, x, u)
     y = conjugate_pole(F, x)

@@ -43,6 +43,7 @@ from .core import (
     _COMPLEX,
     BoundaryPoint,
     GeometryError,
+    chordal_sq,
     dist,
     heis_inv,
     infinity,
@@ -51,7 +52,6 @@ from .core import (
     CrossRatioTriple,
     is_admissible,
 )
-
 
 
 __all__ = [
@@ -136,17 +136,20 @@ def lift(p: BoundaryPoint) -> NullVector:
 def drop(X: NullVector) -> BoundaryPoint:
     """Boundary point of a null direction; inverse of :func:`lift`.
 
-    Raises for vectors that are not null within tolerance.  A direction
-    is the infinite point when its last coordinate sits at roundoff
-    level, or when reading it as finite contradicts the null relation
-    Re(X_0/X_k) = -|z|^2/2 rescaled to the chart (a roundoff-size null
-    defect explodes under division by a near-zero last coordinate, which
-    is exactly the signature of a blurred image of infinity).
+    Raises for vectors that are not null within tolerance, and for
+    vectors with an infinite or NaN entry (or a norm that overflows).  A
+    direction is the infinite point when its last coordinate sits at
+    roundoff level, or when reading it as finite contradicts the null
+    relation Re(X_0/X_k) = -|z|^2/2 rescaled to the chart (a roundoff-size
+    null defect explodes under division by a near-zero last coordinate,
+    which is exactly the signature of a blurred image of infinity).
     """
     if not (type(X) is np.ndarray and X.dtype is _COMPLEX):
         X = np.asarray(X, dtype=complex)
     k = X.shape[0] - 1
     norm = _norm(X)
+    if not math.isfinite(norm):
+        raise GeometryError("non-finite vector does not define a boundary point")
     if not norm > 0:
         raise GeometryError("zero vector does not define a boundary point")
     if abs(herm(X, X)) > NULL_TOL * norm * norm:
@@ -242,8 +245,6 @@ class MoebiusMap:
         Compared in the squared chordal gap, which is first order in
         coordinate differences.
         """
-        from .core import chordal_sq
-
         worst = 0.0
         for p in _generic_points(self.k):
             worst = max(worst, chordal_sq(self(p), other(p)))
@@ -260,7 +261,7 @@ def _generic_points(k: int):
         e[i] = 1.0
         pts.append(point(e, 0.0))
         pts.append(point((0.5 + 0.25j) * e, -1.0))
-    return pts[: k + 3] if len(pts) >= k + 3 else pts
+    return pts[: k + 3]
 
 
 # ---------------------------------------------------------------------------

@@ -60,18 +60,29 @@ def sample_point(cfg: SpaceConfig, rng: np.random.Generator) -> BoundaryPoint:
     return point(z, rng.uniform(-4.0, 4.0))
 
 
+def _point_batch(cfg: SpaceConfig, rng: np.random.Generator, shape: tuple):
+    """Chart coordinates (Z, T) of an array of points with the law of ``sample_point``."""
+    m = cfg.horizontal_dim
+    if m:
+        raw = rng.standard_normal((*shape, m)) + 1j * rng.standard_normal((*shape, m))
+        radii = 2.0 * rng.uniform(size=(*shape, 1)) ** (1.0 / (2 * m))
+        Z = raw / np.linalg.norm(raw, axis=-1, keepdims=True) * radii
+    else:
+        Z = np.zeros((*shape, 0), dtype=complex)
+    return Z, rng.uniform(-4.0, 4.0, size=shape)
+
+
+def _pairwise_dists(Z, T):
+    """Gauge distances between all points along the second-to-last axis of Z."""
+    return dist_batch(Z[..., :, None, :], T[..., :, None],
+                      Z[..., None, :, :], T[..., None, :])
+
+
 def sample_distinct_points(cfg: SpaceConfig, rng: np.random.Generator, n: int,
                            min_sep: float = MIN_SEPARATION) -> list:
-    m = cfg.horizontal_dim
     for _ in range(200):
-        if m:
-            raw = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-            radii = 2.0 * rng.uniform(size=(n, 1)) ** (1.0 / (2 * m))
-            Z = raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii
-        else:
-            Z = np.zeros((n, 0), dtype=complex)
-        T = rng.uniform(-4.0, 4.0, size=n)
-        D = dist_batch(Z[:, None, :], T[:, None], Z[None, :, :], T[None, :])
+        Z, T = _point_batch(cfg, rng, (n,))
+        D = _pairwise_dists(Z, T)
         iu = np.triu_indices(n, 1)
         if n == 1 or float(D[iu].min()) >= min_sep:
             return [BoundaryPoint(z=Z[i], t=float(T[i])) for i in range(n)]

@@ -1,4 +1,4 @@
-"""Scalar point kernel: the lean expressions against the numpy formulas they replace.
+"""Scalar point kernel: the lean expressions against the formulas they replace.
 
 The kernel keeps numpy's array arithmetic, so each rewritten expression
 must agree with its reference bit for bit; every comparison here is
@@ -11,11 +11,16 @@ import numpy as np
 import pytest
 
 from chgeom.core import (
+    CrossRatioTriple,
     GeometryError,
     SpaceConfig,
+    crt,
+    dist,
+    dist_w,
     infinity,
     is_admissible,
     origin,
+    pairing,
     point,
     same_point,
 )
@@ -33,13 +38,52 @@ def _herm_reference(X, Y):
     return X[0] * np.conj(Y[k]) + X[k] * np.conj(Y[0]) + middle
 
 
+def _same_point_reference(p, q, tol=1e-12):
+    if p.infinite or q.infinite:
+        return p.infinite and q.infinite
+    return dist(p, q) <= tol
+
+
 def _admissible_reference(points, tol=1e-12):
     n = len(points)
     for i in range(n):
-        copies = sum(1 for j in range(n) if same_point(points[i], points[j], tol))
+        copies = sum(1 for j in range(n) if _same_point_reference(points[i], points[j], tol))
         if copies >= 3:
             return False
     return True
+
+
+def _crt_reference(x, y, z, u):
+    if not _admissible_reference((x, y, z, u)):
+        return None
+    a = math.sqrt(pairing(x, y) * pairing(z, u))
+    b = math.sqrt(pairing(x, z) * pairing(y, u))
+    c = math.sqrt(pairing(x, u) * pairing(y, z))
+    return CrossRatioTriple.from_components(a, b, c)
+
+
+def _dist_w_reference(omega, p, q):
+    if omega.infinite:
+        return dist(p, q)
+    p_is_w, q_is_w = _same_point_reference(p, omega), _same_point_reference(q, omega)
+    if p_is_w and q_is_w:
+        return 0.0
+    if p_is_w or q_is_w:
+        return math.inf
+    if p.infinite and q.infinite:
+        return 0.0
+    if p.infinite:
+        return 1.0 / dist(q, omega)
+    if q.infinite:
+        return 1.0 / dist(p, omega)
+    return dist(p, q) / (dist(p, omega) * dist(q, omega))
+
+
+def _crt_or_none(quad):
+    try:
+        return crt(*quad)
+    except GeometryError:
+        return None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -59,6 +103,8 @@ def test_herm_matches_reference(rng, n):
 
 
 def test_is_admissible_matches_all_pairs_count(rng):
+    # the same tuples also pin crt, same_point and dist_w, which read the
+    # one distance per pair, to the branchy formulas they replace
     space = SpaceConfig(k=3)
     for _ in range(300):
         p = sample_point(space, rng)
@@ -68,6 +114,11 @@ def test_is_admissible_matches_all_pairs_count(rng):
             # drawing 4 entries from n_distinct covers 0 to 4 repeated entries
             pts = [pool[i] for i in rng.integers(0, n_distinct, size=4)]
             assert is_admissible(pts) == _admissible_reference(pts)
+            assert _crt_or_none(pts) == _crt_reference(*pts)
+            for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
+                assert same_point(pts[a], pts[b]) == _same_point_reference(pts[a], pts[b])
+            w, x, y = pts[:3]
+            assert dist_w(w, x, y) == _dist_w_reference(w, x, y)
 
 
 def test_is_admissible_counts_infinity_copies():

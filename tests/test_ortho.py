@@ -227,6 +227,14 @@ def test_standard_rcircle_canonical(canonical_complement):
     assert std.sigma.membership_residual(std.y) < 1e-12
     with pytest.raises(GeometryError):
         standard_rcircle(A.F, A.eta, A, point([0], 1.0), infinity(2))
+    # x must lie on F_prime, a complement or a chain; None skips the check
+    with pytest.raises(GeometryError, match="orthogonal subspace"):
+        standard_rcircle(A.F, A.eta, A, point([2], 0.0), infinity(2))
+    far_chain = ccircle_through(point([3], 0.0), point([3], 1.0))
+    with pytest.raises(GeometryError, match="orthogonal subspace"):
+        standard_rcircle(A.F, A.eta, far_chain, point([1], 0.0), infinity(2))
+    std = standard_rcircle(A.F, A.eta, None, point([2], 0.0), infinity(2))
+    assert std.sigma.membership_residual(point([2], 0.0)) < 1e-12
 
 
 def test_standard_rcircles_meet_in_chain_only(space, rng):

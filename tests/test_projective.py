@@ -89,6 +89,11 @@ def test_drop_rejects_non_null():
         drop(np.array([1.0, 0.0, 1.0], dtype=complex))
     with pytest.raises(GeometryError):
         drop(np.zeros(3, dtype=complex))
+    # non-finite entries: the null test compares NaN or inf and passes them
+    for bad in (math.inf, -math.inf, math.nan):
+        for X in ([bad, 0.0, 1.0], [0.0, complex(0.0, bad), 1.0], [1.0, 0.0, bad]):
+            with pytest.raises(GeometryError, match="non-finite"):
+                drop(np.array(X, dtype=complex))
 
 
 def test_translation_is_left_multiplication(rng):
