@@ -59,7 +59,7 @@ print(f"  |wu| = {dist_w(inf, dec.w, u):.6f}  (equals r)")
 print(f"  u on the standard circle: {dec.sigma.membership_residual(u):.1e}")
 
 print("\n== a standard circle from its subspace intercept ==")
-std = standard_rcircle(F, eta, A, point([1], 0.0), inf)
+std = standard_rcircle(F, A, point([1], 0.0), inf)
 print(f"  through u = infinity and x = e1: hits the chain at {std.v}, "
       f"carries y = {std.y}")
 

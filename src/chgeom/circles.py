@@ -4,8 +4,8 @@ A chain is the boundary of a complex geodesic: through infinity it is a
 vertical line of the Heisenberg chart, and every chain is the image of
 the canonical one (vertical axis plus infinity) under a Moebius map.  An
 R-circle is the boundary of a totally real plane; the canonical one is
-the horizontal first-axis line plus infinity.  Circles are stored as a
-Moebius map carrying the canonical model onto them, with witness points.
+the horizontal first-axis line plus infinity.  Circles are stored as the
+Moebius map carrying the canonical model onto them.
 
 Membership is decided in the projective model: a chain is the null cone
 of a complex 2-plane, an R-circle the null cone of a phase times a real
@@ -101,7 +101,6 @@ class CCircle(_Membership):
     """A chain, as the image of the vertical axis + infinity under ``map``."""
 
     map: MoebiusMap
-    span: tuple
 
     @property
     def k(self) -> int:
@@ -118,7 +117,7 @@ class CCircle(_Membership):
 
     def transported(self, g: MoebiusMap) -> "CCircle":
         """The image chain g(F)."""
-        return CCircle(map=g @ self.map, span=tuple(g(p) for p in self.span))
+        return CCircle(map=g @ self.map)
 
     @cached_property
     def _plane_basis(self) -> np.ndarray:
@@ -152,7 +151,6 @@ class RCircle(_Membership):
     """An R-circle, as the image of the horizontal first axis + infinity."""
 
     map: MoebiusMap
-    witnesses: tuple
 
     @property
     def k(self) -> int:
@@ -170,7 +168,7 @@ class RCircle(_Membership):
 
     def transported(self, g: MoebiusMap) -> "RCircle":
         """The image R-circle g(sigma)."""
-        return RCircle(map=g @ self.map, witnesses=tuple(g(p) for p in self.witnesses))
+        return RCircle(map=g @ self.map)
 
     @cached_property
     def _ginv(self) -> np.ndarray:
@@ -240,7 +238,7 @@ def ccircle_through(p: BoundaryPoint, q: BoundaryPoint) -> CCircle:
     if q1.infinite:
         raise GeometryError("points are not distinguishable in the chart")
     m = n.inverse() @ make_translation(q1.z, q1.t)
-    return CCircle(map=m, span=(p, q))
+    return CCircle(map=m)
 
 
 def unitary_with_first_column(w: np.ndarray) -> np.ndarray:
@@ -259,8 +257,7 @@ def unitary_with_first_column(w: np.ndarray) -> np.ndarray:
 
 
 def _hit_chart(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint):
-    k = F.k
-    if k < 2:
+    if F.k < 2:
         raise GeometryError("R-circles need complex dimension k >= 2")
     n = chain_chart(F, omega)  # checks that omega lies on F
     if F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
@@ -268,14 +265,14 @@ def _hit_chart(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint):
     u1 = n(u)
     if _norm(u1.z) <= 1e-14:
         raise GeometryError("u projects onto omega; configuration is degenerate")
-    # the chart axis sits at z = 0, so the horizontal line through u1
-    # toward the axis lands on the fiber coordinate (0, t_u)
-    return n, u1, point(np.zeros(k - 1), u1.t)
+    return n, u1
 
 
 def _chain_hit(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) -> BoundaryPoint:
-    n, _, hit1 = _hit_chart(F, omega, u)
-    return n.inverse()(hit1)
+    n, u1 = _hit_chart(F, omega, u)
+    # the chart axis sits at z = 0, so the horizontal line through u1
+    # toward the axis lands on the fiber coordinate (0, t_u)
+    return n.inverse()(point(np.zeros(F.k - 1), u1.t))
 
 
 def rcircle_through_hitting(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) -> RCircle:
@@ -284,15 +281,13 @@ def rcircle_through_hitting(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) 
     In the chart where omega is infinite and F is the vertical axis this
     is the horizontal line s -> (z_u + s(z_F - z_u), t_u + 2 s Im<z_u, z_F - z_u>).
     """
-    n, u1, hit1 = _hit_chart(F, omega, u)
+    n, u1 = _hit_chart(F, omega, u)
     zu, tu = u1.z, u1.t
     w = -zu
     nw = _norm(w)
     U = unitary_with_first_column(w / nw)
     line = make_translation(zu, tu) @ make_rotation(U) @ make_dilation(nw, F.k)
-    ninv = n.inverse()
-    hit = ninv(hit1)
-    return RCircle(map=ninv @ line, witnesses=(omega, u, hit))
+    return RCircle(map=n.inverse() @ line)
 
 
 def mu(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) -> BoundaryPoint:
@@ -399,15 +394,15 @@ def sphere_between(omega: BoundaryPoint, omega_prime: BoundaryPoint,
 # Point-set comparison
 # ---------------------------------------------------------------------------
 
-def circle_pointset_residual(a, b, n: int = 3) -> float:
+def circle_pointset_residual(a, b) -> float:
     """Symmetric membership residual between two circles of the same kind.
 
     Zero (within membership tolerance) exactly when the circles agree as
     point sets; a Moebius circle is pinned by three of its points.
     """
     worst = 0.0
-    for p in a.sample_points(n):
+    for p in a.sample_points(3):
         worst = max(worst, b.membership_residual(p))
-    for q in b.sample_points(n):
+    for q in b.sample_points(3):
         worst = max(worst, a.membership_residual(q))
     return worst

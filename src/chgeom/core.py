@@ -281,9 +281,6 @@ class CrossRatioTriple:
     def max_difference(self, other: "CrossRatioTriple") -> float:
         return float(np.max(np.abs(self.components() - other.components())))
 
-    def isclose(self, other: "CrossRatioTriple", tol: float = DEFAULT_TOL) -> bool:
-        return self.max_difference(other) <= tol
-
 
 def _pair_dists(points) -> dict:
     """dist(points[i], points[j]) for every pair i < j, in that argument order."""

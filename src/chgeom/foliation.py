@@ -44,7 +44,7 @@ __all__ = [
     "signed_area",
 ]
 
-_LIMIT_SCALES = [2.0 ** j for j in range(4, 21)]
+_LIMIT_SCALES = (2.0 ** 19, 2.0 ** 20)   # a doubling pair for the Richardson step
 
 
 def _chart_scale(omega: BoundaryPoint, n: MoebiusMap) -> float:
@@ -109,8 +109,8 @@ def busemann(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint,
     Normalized to vanish at ``o`` and to decrease along the direction of
     increasing canonical parameter of ``sigma``; on the line itself it is
     minus the arclength from ``o``.  ``method="limit"`` evaluates the
-    defining limit of distance differences on a doubling scale sequence
-    with one Richardson extrapolation step.
+    defining limit of distance differences at the scales 2**19 and 2**20
+    and combines them with one Richardson extrapolation step.
     """
     if same_point(x, omega, tol=1e-14):
         raise GeometryError("the Busemann function is defined away from omega")
@@ -137,12 +137,9 @@ def busemann(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint,
     # stay exact coordinates; the chart factor lam converts back
     e1 = np.zeros(k - 1, dtype=complex)
     e1[0] = 1.0
-    vals = []
-    for s in _LIMIT_SCALES:
-        ps1 = point(sgn * s * e1, 0.0)
-        vals.append(lam * (dist(x1, ps1) - s))
-    # first-order Richardson step on the doubling sequence
-    return 2.0 * vals[-1] - vals[-2]
+    v1, v2 = (lam * (dist(x1, point(sgn * s * e1, 0.0)) - s) for s in _LIMIT_SCALES)
+    # first-order Richardson step on the doubling pair
+    return 2.0 * v2 - v1
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +191,7 @@ def horizontal_lift(b1: np.ndarray, b2: np.ndarray, t: float) -> float:
 
 @dataclass(frozen=True)
 class Polygon:
-    """Closed oriented polygon in the base, with a marked starting vertex.
+    """Closed oriented polygon in the base, starting at its first vertex.
 
     Closure is implicit (the last vertex connects back to the first);
     consecutive vertices must be distinct.  Two vertices are allowed so
@@ -202,7 +199,6 @@ class Polygon:
     """
 
     vertices: np.ndarray
-    base_index: int = 0
 
     def __post_init__(self) -> None:
         v = np.atleast_2d(np.asarray(self.vertices, dtype=complex))
@@ -213,15 +209,9 @@ class Polygon:
         for i in range(m):
             if np.linalg.norm(v[i] - v[(i + 1) % m]) == 0.0:
                 raise GeometryError("consecutive polygon vertices must be distinct")
-        if not 0 <= self.base_index < m:
-            raise GeometryError("base index out of range")
-
-    def ordered(self) -> np.ndarray:
-        v = self.vertices
-        return np.roll(v, -self.base_index, axis=0)
 
     def scaled(self, lam: float) -> "Polygon":
-        return Polygon(vertices=lam * self.vertices, base_index=self.base_index)
+        return Polygon(vertices=lam * self.vertices)
 
 
 def tau(P: Polygon, t0: float) -> tuple:
@@ -232,7 +222,7 @@ def tau(P: Polygon, t0: float) -> tuple:
     line of the base; the resulting map of the starting fiber is the
     vertical shift by that change.
     """
-    v = P.ordered()
+    v = P.vertices
     t = float(t0)
     for i in range(v.shape[0]):
         t = horizontal_lift(v[i], v[(i + 1) % v.shape[0]], t)

@@ -3,11 +3,12 @@
 Suites bundle the registered properties; a run is deterministic given
 (seed, dimension, trials): every trial draws from its own generator
 seeded by (seed, property index, trial index), so results do not depend
-on the order of the trials, and any failing sample is replayable with
-``--replay suite:seed:index``.  Trials run one after another in one
-thread.  A trial that raises, or returns a non-finite residual, fails
-its property: the report names the exception (or the residual) and the
-trial index, and the property runs no further trials.
+on the order of the trials or on their number, and any failing sample
+is replayable with ``--replay suite:seed:index --dim k`` (plus the
+run's ``--tol``, if one was given).  Trials run one after another in
+one thread.  A trial that raises, or returns a non-finite residual,
+fails its property: the report names the exception (or the residual)
+and the trial index, and the property runs no further trials.
 
 Exit codes: 0 all properties pass, 1 a property failed (a raising or
 non-finite trial included), 2 usage error.
@@ -134,10 +135,12 @@ class SuiteReport:
             if p.error is not None:
                 lines.append(f"         trial {p.worst_trial} raised {p.error}")
             if not p.passed:
-                lines.append(
-                    f"         worst trial {p.worst_trial}; replay with "
-                    f"--replay {self.suite}:{self.config['seed']}:{p.worst_trial}"
-                )
+                spec = f"{self.suite}:{self.config['seed']}:{p.worst_trial}"
+                flags = f"--dim {self.config['k']}"
+                if self.config["tol"] is not None:
+                    flags += f" --tol {self.config['tol']!r}"
+                lines.append(f"         worst trial {p.worst_trial}; replay with "
+                             f"--replay {spec} {flags}")
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"suite {self.suite}: {verdict}  ({self.wall_ms:.0f} ms)")
         return "\n".join(lines)
@@ -212,6 +215,8 @@ def replay(spec: str, k: int, tol: float | None = None) -> int:
         seed, index = int(seed_s), int(index_s)
     except ValueError as exc:
         raise UsageError("replay spec must be suite:seed:index") from exc
+    if index < 0:
+        raise UsageError("replay index must be >= 0")
     cfg = SuiteConfig(suite=suite, k=k, seed=seed, tol=tol)
     space = SpaceConfig(k=k)
     failures = 0
@@ -221,11 +226,6 @@ def replay(spec: str, k: int, tol: float | None = None) -> int:
             print(f"  [SKIP] {prop.name} (needs k >= {prop.min_k})")
             continue
         prop_index = REGISTRY.index(prop)
-        n = _effective_trials(prop, REFERENCE_TRIALS)
-        if index >= n:
-            print(f"  [----] {prop.name}: index {index} beyond reference "
-                  f"trial count {n}")
-            continue
         tol_eff = cfg.tol if cfg.tol is not None else prop.tol
         try:
             residual = float(prop.fn(space, _trial_rng(seed, prop_index, index)))

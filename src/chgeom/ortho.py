@@ -333,10 +333,8 @@ def join_decompose(F: CCircle, eta: InvolutionOnCircle, F_prime, u: BoundaryPoin
     """
     if F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
         raise GeometryError("join decomposition needs a point off the chain")
-    if not F.contains(omega):
-        raise GeometryError("omega must lie on the chain")
     o = eta(omega)
-    c = chain_chart(F, omega, o)
+    c = chain_chart(F, omega, o)  # checks that omega and o lie on F
     rho = _radius_of(F_prime, c)
     u1 = c(u)
     a = float(np.sum((u1.z * np.conj(u1.z)).real)) ** 0.5
@@ -408,13 +406,15 @@ class StandardCircle:
     y: BoundaryPoint
 
 
-def standard_rcircle(F: CCircle, eta: InvolutionOnCircle, F_prime,
-                     x: BoundaryPoint, u: BoundaryPoint) -> StandardCircle:
+def standard_rcircle(F: CCircle, F_prime, x: BoundaryPoint,
+                     u: BoundaryPoint) -> StandardCircle:
     """The standard R-circle through u (on F) and x (off F).
 
-    It meets F again at v = eta(u) and carries y, the reflection of x
-    across F, with (u, x, v, y) in harmonic position.  Distinct standard
-    circles meet only inside F union F'.
+    It meets F again at v, the image of u under the involution of F
+    induced by x (for x on a complement (F, eta) this is eta(u)), and
+    carries y, the reflection of x across F, with (u, x, v, y) in
+    harmonic position.  Distinct standard circles meet only inside F
+    union F'.
     """
     if F.membership_residual(x) <= OFF_CIRCLE_MARGIN:
         raise GeometryError("x must lie off the chain")

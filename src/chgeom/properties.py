@@ -35,6 +35,7 @@ from .core import (
     ptolemy_defect_squared,
 )
 from .circles import (
+    OFF_CIRCLE_MARGIN,
     ccircle_through,
     chain_chart,
     circle_pointset_residual,
@@ -85,8 +86,6 @@ from .sampling import (
     sample_rcircle,
 )
 
-OFF_MARGIN = 1e-6
-
 
 @dataclass(frozen=True)
 class Property:
@@ -104,10 +103,10 @@ def _rel(value: float, scale: float) -> float:
     return abs(value) / max(scale, 1e-300)
 
 
-def _point_off_chain(cfg, rng, F, margin=1e-3):
+def _point_off_chain(cfg, rng, F):
     for _ in range(100):
         u = sample_point(cfg, rng)
-        if F.membership_residual(u) > margin:
+        if F.membership_residual(u) > 1e-3:
             return u
     raise RuntimeError("could not sample a point off the chain")
 
@@ -185,11 +184,7 @@ def p_metric_double_inversion(cfg, rng):
     quad[rng.integers(0, 4)] = infinity(cfg.k)
 
     def doubly_inverted(p, q):
-        if p.infinite and q.infinite:
-            return 0.0
-        if p.infinite or q.infinite:
-            fin = q if p.infinite else p
-            return dist_w(w, p, q) * dist(fin, w)
+        # finite points only: _pair_with settles the infinite entries
         return dist_w(w, p, q) * dist(p, w) * dist(q, w)
 
     x, y, z, u = quad
@@ -350,10 +345,10 @@ def p_rc_intersection_bound(cfg, rng):
     F = ccircle_through(sigma.point_at(float(s1)), sigma.point_at(float(s2)))
     ss = np.tan(np.linspace(-0.5 * math.pi, 0.5 * math.pi, 361)[1:-1])
     values = _chain_residuals_along_rcircle(F, sigma, ss)
-    clusters = _count_low_clusters(list(values), OFF_MARGIN)
+    clusters = _count_low_clusters(list(values), OFF_CIRCLE_MARGIN)
     generic = sample_chain(cfg, rng)
     values_g = _chain_residuals_along_rcircle(generic, sigma, ss)
-    clusters_g = _count_low_clusters(list(values_g), OFF_MARGIN)
+    clusters_g = _count_low_clusters(list(values_g), OFF_CIRCLE_MARGIN)
     return float(max(0, clusters - 2) + max(0, clusters_g - 2))
 
 
@@ -445,7 +440,7 @@ def p_property_u(cfg, rng):
     if not u_off.infinite:
         defect_off = _rel(ptolemy_defect(x, y, z, u_off), scale)
         member_off = sigma.membership_residual(u_off)
-        if defect_off < OFF_MARGIN and member_off > 100 * OFF_MARGIN:
+        if defect_off < OFF_CIRCLE_MARGIN and member_off > 100 * OFF_CIRCLE_MARGIN:
             worst = max(worst, 1.0)
     return worst
 
@@ -645,7 +640,7 @@ def p_lift_square(cfg, rng):
     square = np.zeros((4, m), dtype=complex)
     square[1, 0], square[2, 0], square[3, 0] = 1.0, 1.0 + 1j, 1j
     P = fo.Polygon(vertices=square)
-    t_end, disp = fo.tau(P, rng.uniform(-2, 2))
+    _, disp = fo.tau(P, rng.uniform(-2, 2))
     lam = math.exp(rng.uniform(-0.5, 0.5))
     worst = max(
         _rel(fo.tau(P, 0.0)[0] + 4.0, 4.0),
@@ -760,8 +755,8 @@ def p_ortho_membership_agree(cfg, rng):
         if A.F.membership_residual(u_off) < 1e-3:
             continue
         r3o, rso = ortho_membership_residuals(A, u_off)
-        if min(r3o, rso) > 1e-4 or max(r3o, rso) < OFF_MARGIN:
-            if (r3o < OFF_MARGIN) != (rso < OFF_MARGIN):
+        if min(r3o, rso) > 1e-4 or max(r3o, rso) < OFF_CIRCLE_MARGIN:
+            if (r3o < OFF_CIRCLE_MARGIN) != (rso < OFF_CIRCLE_MARGIN):
                 worst = max(worst, 1.0)
             break
     return worst
@@ -792,7 +787,8 @@ def p_canonical_fiber(cfg, rng):
         u2 = A.sample_points(1, rng)[0]
         if fib.membership_residual(u2) > 1e-3:
             fib2 = canonical_fiber(A, u2)
-            if min(fib2.membership_residual(fib.point_at(t)) for t in (0.0, 1.0)) < OFF_MARGIN:
+            gap = min(fib2.membership_residual(fib.point_at(t)) for t in (0.0, 1.0))
+            if gap < OFF_CIRCLE_MARGIN:
                 worst = max(worst, 1.0)
     return worst
 
@@ -829,10 +825,10 @@ def p_fixset_intersection(cfg, rng):
         worst = max(worst, rA, rAp)
     u_off = sample_point(cfg, rng)
     if min(F.membership_residual(u_off), Fp.membership_residual(u_off)) > 1e-3:
-        fixed = fixset_psi_residual(F, Fp, u_off) < OFF_MARGIN
+        fixed = fixset_psi_residual(F, Fp, u_off) < OFF_CIRCLE_MARGIN
         rA, _ = ortho_membership_residuals(A, u_off)
         rAp, _ = ortho_membership_residuals(Ap, u_off)
-        both_in = max(rA, rAp) < OFF_MARGIN
+        both_in = max(rA, rAp) < OFF_CIRCLE_MARGIN
         if fixed != both_in:
             worst = max(worst, 1.0)
     return worst
@@ -858,7 +854,7 @@ def p_nonfiber_chain(cfg, rng):
     # but it is not a fiber: conjugate poles of its points leave it
     for tau in (0.0, 1.0):
         p = C.point_at(tau)
-        if C.membership_residual(conjugate_pole(F, p)) < OFF_MARGIN:
+        if C.membership_residual(conjugate_pole(F, p)) < OFF_CIRCLE_MARGIN:
             worst = max(worst, 1.0)
     return worst
 
@@ -931,7 +927,7 @@ def p_standard_rcircle(cfg, rng):
     F = A.F
     u = F.point_at(float(rng.uniform(-2, 2)))
     x = A.sample_points(1, rng)[0]
-    std = standard_rcircle(F, A.eta, A, x, u)
+    std = standard_rcircle(F, A, x, u)
     worst = harmonicity_residual(std.u, std.x, std.v, std.y)
     worst = max(worst, std.sigma.membership_residual(std.y))
     worst = max(worst, chordal_sq(std.v, A.eta(u)))
@@ -946,14 +942,14 @@ def p_standard_intersections(cfg, rng):
     x2 = A.sample_points(1, rng)[0]
     if chordal_sq(x1, x2) < 1e-4 or chordal_sq(x1, conjugate_pole(F, x2)) < 1e-4:
         return 0.0
-    s1 = standard_rcircle(F, A.eta, A, x1, u)
-    s2 = standard_rcircle(F, A.eta, A, x2, u)
+    s1 = standard_rcircle(F, A, x1, u)
+    s2 = standard_rcircle(F, A, x2, u)
     worst = max(s2.sigma.membership_residual(s1.u), s2.sigma.membership_residual(s1.v))
     for s in (-1.7, -0.6, 0.5, 1.4):
         p = s1.sigma.point_at(s)
         if min(chordal_sq(p, s1.u), chordal_sq(p, s1.v)) < 1e-3:
             continue
-        if s2.sigma.membership_residual(p) < OFF_MARGIN:
+        if s2.sigma.membership_residual(p) < OFF_CIRCLE_MARGIN:
             worst = max(worst, 1.0)
     return worst
 

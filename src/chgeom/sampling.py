@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from .core import (BoundaryPoint, GeometryError, SpaceConfig, dist_batch,
-                   infinity, point)
+from .core import BoundaryPoint, GeometryError, SpaceConfig, dist_batch, point
 from .circles import OFF_CIRCLE_MARGIN, CCircle, RCircle, ccircle_through
 from .ortho import OrthoComplement, canonical_involution
 from .projective import (
@@ -78,13 +77,12 @@ def _pairwise_dists(Z, T):
                       Z[..., None, :, :], T[..., None, :])
 
 
-def sample_distinct_points(cfg: SpaceConfig, rng: np.random.Generator, n: int,
-                           min_sep: float = MIN_SEPARATION) -> list:
+def sample_distinct_points(cfg: SpaceConfig, rng: np.random.Generator, n: int) -> list:
     for _ in range(200):
         Z, T = _point_batch(cfg, rng, (n,))
         D = _pairwise_dists(Z, T)
         iu = np.triu_indices(n, 1)
-        if n == 1 or float(D[iu].min()) >= min_sep:
+        if n == 1 or float(D[iu].min()) >= MIN_SEPARATION:
             return [BoundaryPoint(z=Z[i], t=float(T[i])) for i in range(n)]
     raise GeometryError("rejection sampling failed to separate points")
 
@@ -135,22 +133,14 @@ def random_moebius(cfg: SpaceConfig, rng: np.random.Generator,
 
 def canonical_chain(k: int) -> CCircle:
     """The vertical axis plus infinity."""
-    return CCircle(
-        map=MoebiusMap.identity(k),
-        span=(infinity(k), point(np.zeros(k - 1), 0.0)),
-    )
+    return CCircle(map=MoebiusMap.identity(k))
 
 
 def canonical_rcircle(k: int) -> RCircle:
     """The horizontal first-axis line plus infinity."""
     if k < 2:
         raise GeometryError("R-circles need complex dimension k >= 2")
-    e1 = np.zeros(k - 1, dtype=complex)
-    e1[0] = 1.0
-    return RCircle(
-        map=MoebiusMap.identity(k),
-        witnesses=(infinity(k), point(np.zeros(k - 1), 0.0), point(e1, 0.0)),
-    )
+    return RCircle(map=MoebiusMap.identity(k))
 
 
 def sample_chain(cfg: SpaceConfig, rng: np.random.Generator) -> CCircle:

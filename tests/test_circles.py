@@ -19,6 +19,7 @@ from chgeom.core import (
 )
 from chgeom.circles import (
     MEMBERSHIP_TOL,
+    _hit_chart,
     ccircle_through,
     chain_chart,
     circle_pointset_residual,
@@ -30,9 +31,10 @@ from chgeom.circles import (
     sphere_between,
     unitary_with_first_column,
 )
-from chgeom.projective import chart
+from chgeom.projective import MoebiusMap, chart
 from chgeom.sampling import (
     canonical_chain,
+    random_moebius,
     sample_chain,
     sample_distinct_points,
     sample_point,
@@ -133,6 +135,33 @@ def test_rcircle_through_hitting_finite_omega(space, rng):
         rcircle_through_hitting(F, omega, F.point_at(1.3))
     with pytest.raises(GeometryError):
         rcircle_through_hitting(F, u, u)
+
+
+def test_circle_constructions_map_no_extra_points(space, rng, monkeypatch):
+    # transports only compose maps, and rcircle_through_hitting maps no
+    # point beyond the two its chain chart needs (the chart anchor and u)
+    F = sample_chain(space, rng)
+    sigma = sample_rcircle(space, rng)
+    g = random_moebius(space, rng)
+    omega = F.point_at(0.8)
+    u = off_chain_point(space, rng, F)
+    F._anchors  # chart anchors are cached on first use
+    calls = []
+    action = MoebiusMap.__call__
+
+    def counting(self, p):
+        calls.append(p)
+        return action(self, p)
+
+    monkeypatch.setattr(MoebiusMap, "__call__", counting)
+    F.transported(g)
+    sigma.transported(g)
+    assert calls == []
+    _hit_chart(F, omega, u)
+    assert len(calls) == 2
+    calls.clear()
+    rcircle_through_hitting(F, omega, u)
+    assert len(calls) == 2
 
 
 def test_mu_retraction_and_distance_formula(space, rng):

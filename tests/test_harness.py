@@ -129,6 +129,8 @@ def test_replay_runs_single_trial(capsys):
     assert "conjugate_pole_cocircular" in out
     with pytest.raises(UsageError):
         replay("badspec", k=2)
+    with pytest.raises(UsageError):
+        replay("circles:42:-1", k=2)
 
 
 def test_main_replay_flag(capsys):
@@ -182,6 +184,38 @@ def test_raising_trial_fails_its_property(capsys):
     assert "trial 3 raised GeometryError: injected at trial 3" in out
     assert "--replay holonomy:5:3" in out
     assert "raised GeometryError: injected at trial 3" in replayed
+
+
+def _small_residual_at_k3_trial_1(cfg, rng):
+    if cfg.k == 3 and rng.bit_generator.seed_seq.entropy[-1] == 1:
+        return 1e-6
+    return 0.0
+
+
+def test_printed_replay_reproduces_the_failure(capsys):
+    # the failure needs k=3 and the run's --tol, and trial 1 lies beyond
+    # the property's reference count of 1 trial
+    saved = list(REGISTRY)
+    for i, p in enumerate(saved):
+        if p.suite == "holonomy":
+            fn = (_small_residual_at_k3_trial_1 if p.name == "curvature_golden_values"
+                  else lambda cfg, rng: 0.0)
+            REGISTRY[i] = replace(p, fn=fn, tol=1.0)
+    try:
+        code = main(["--suite", "holonomy", "--dim", "3", "--trials", "20000",
+                     "--seed", "5", "--tol", "1e-7"])
+        out = capsys.readouterr().out
+        hint = next(line for line in out.splitlines() if "replay with" in line)
+        argv = hint.split("replay with ", 1)[1].split()
+        replay_code = main(argv)
+        replayed = capsys.readouterr().out
+    finally:
+        REGISTRY[:] = saved
+    assert code == 1
+    assert argv == ["--replay", "holonomy:5:1", "--dim", "3", "--tol", "1e-07"]
+    assert replay_code == 1
+    assert replayed.count("[FAIL]") == 1
+    assert "[FAIL] curvature_golden_values" in replayed
 
 
 def _reject_nonstandard_constant(name):

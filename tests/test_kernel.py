@@ -24,8 +24,15 @@ from chgeom.core import (
     point,
     same_point,
 )
+from chgeom.foliation import Polygon, _rline_chart, busemann, horizontal_lift, tau
 from chgeom.projective import _norm, drop, herm, lift
-from chgeom.sampling import canonical_chain, canonical_rcircle, random_moebius, sample_point
+from chgeom.sampling import (
+    canonical_chain,
+    canonical_rcircle,
+    random_moebius,
+    sample_point,
+    sample_rcircle,
+)
 
 
 def _random_vector(rng, n, scale):
@@ -190,3 +197,52 @@ def test_drop_accepts_lists_and_real_arrays(rng):
     # real input is converted, as before
     e0 = drop([1.0, 0.0, 0.0])
     assert e0.infinite
+
+
+def _busemann_limit_reference(omega, sigma, o, x):
+    # the defining limit on the full doubling sequence 2**4 .. 2**20; the
+    # Richardson step reads only its last two values
+    g = _rline_chart(omega, sigma, o)
+    so = sigma.map.inverse()(o).z[0].real
+    ahead = sigma.point_at(so + 1.0)
+    cval = g(ahead).z[0].real
+    sgn = math.copysign(1.0, cval)
+    lam = dist_w(omega, o, ahead) / abs(cval)
+    x1 = g(x)
+    e1 = np.zeros(sigma.k - 1, dtype=complex)
+    e1[0] = 1.0
+    vals = []
+    for s in [2.0 ** j for j in range(4, 21)]:
+        vals.append(lam * (dist(x1, point(sgn * s * e1, 0.0)) - s))
+    return 2.0 * vals[-1] - vals[-2]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_busemann_limit_matches_full_sequence(rng, k):
+    space = SpaceConfig(k=k)
+    for _ in range(100):
+        sigma = sample_rcircle(space, rng)
+        a, b = rng.uniform(-2.0, 2.0, size=2)
+        # omega remote (the chart's infinity) and omega a finite point of sigma
+        for omega in (sigma.point_at(math.inf), sigma.point_at(float(a))):
+            o = sigma.point_at(float(b))
+            x = sample_point(space, rng)
+            assert busemann(omega, sigma, o, x, method="limit") == \
+                _busemann_limit_reference(omega, sigma, o, x)
+
+
+def _tau_reference(vertices, t0, base_index=0):
+    v = np.roll(vertices, -base_index, axis=0)
+    t = float(t0)
+    for i in range(v.shape[0]):
+        t = horizontal_lift(v[i], v[(i + 1) % v.shape[0]], t)
+    return t, math.sqrt(abs(t - float(t0)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_tau_matches_roll_reference(rng, m):
+    for n in range(2, 7):
+        for _ in range(40):
+            v = _random_vector(rng, (n, m), 1.0)
+            t0 = rng.uniform(-2.0, 2.0)
+            assert tau(Polygon(vertices=v), t0) == _tau_reference(v, t0)

@@ -220,20 +220,20 @@ def test_positive_root_against_polynomial_solver(rng):
 
 def test_standard_rcircle_canonical(canonical_complement):
     A = canonical_complement
-    std = standard_rcircle(A.F, A.eta, A, point([1], 0.0), infinity(2))
+    std = standard_rcircle(A.F, A, point([1], 0.0), infinity(2))
     assert chordal_sq(std.v, origin(2)) < 1e-12
     assert chordal_sq(std.y, point([-1], 0.0)) < 1e-12
     assert harmonicity_residual(std.u, std.x, std.v, std.y) < 1e-10
     assert std.sigma.membership_residual(std.y) < 1e-12
     with pytest.raises(GeometryError):
-        standard_rcircle(A.F, A.eta, A, point([0], 1.0), infinity(2))
+        standard_rcircle(A.F, A, point([0], 1.0), infinity(2))
     # x must lie on F_prime, a complement or a chain; None skips the check
     with pytest.raises(GeometryError, match="orthogonal subspace"):
-        standard_rcircle(A.F, A.eta, A, point([2], 0.0), infinity(2))
+        standard_rcircle(A.F, A, point([2], 0.0), infinity(2))
     far_chain = ccircle_through(point([3], 0.0), point([3], 1.0))
     with pytest.raises(GeometryError, match="orthogonal subspace"):
-        standard_rcircle(A.F, A.eta, far_chain, point([1], 0.0), infinity(2))
-    std = standard_rcircle(A.F, A.eta, None, point([2], 0.0), infinity(2))
+        standard_rcircle(A.F, far_chain, point([1], 0.0), infinity(2))
+    std = standard_rcircle(A.F, None, point([2], 0.0), infinity(2))
     assert std.sigma.membership_residual(point([2], 0.0)) < 1e-12
 
 
@@ -243,8 +243,8 @@ def test_standard_rcircles_meet_in_chain_only(space, rng):
     x1, x2 = A.sample_points(2, rng)
     if chordal_sq(x1, x2) < 1e-4 or chordal_sq(x1, conjugate_pole(A.F, x2)) < 1e-4:
         pytest.skip("sampled subspace points coincide")
-    s1 = standard_rcircle(A.F, A.eta, A, x1, u)
-    s2 = standard_rcircle(A.F, A.eta, A, x2, u)
+    s1 = standard_rcircle(A.F, A, x1, u)
+    s2 = standard_rcircle(A.F, A, x2, u)
     assert s2.sigma.membership_residual(s1.u) < 1e-8
     assert s2.sigma.membership_residual(s1.v) < 1e-8
     for s in (-1.3, 0.6, 1.9):
