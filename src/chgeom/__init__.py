@@ -63,7 +63,6 @@ from .foliation import (
     vertical_shift,
 )
 from .ortho import (
-    InvolutionOnCircle,
     JoinDecomposition,
     OrthoComplement,
     are_orthogonal,

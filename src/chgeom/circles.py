@@ -268,13 +268,6 @@ def _hit_chart(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint):
     return n, u1
 
 
-def _chain_hit(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) -> BoundaryPoint:
-    n, u1 = _hit_chart(F, omega, u)
-    # the chart axis sits at z = 0, so the horizontal line through u1
-    # toward the axis lands on the fiber coordinate (0, t_u)
-    return n.inverse()(point(np.zeros(F.k - 1), u1.t))
-
-
 def rcircle_through_hitting(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) -> RCircle:
     """The unique R-circle through omega (on F) and u (off F) meeting F again.
 
@@ -298,7 +291,7 @@ def mu(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) -> BoundaryPoint:
     """
     if F.contains(u):
         return u
-    return _chain_hit(F, omega, u)
+    return eta(F, u, omega)
 
 
 def eta(F: CCircle, u: BoundaryPoint, omega: BoundaryPoint) -> BoundaryPoint:
@@ -306,7 +299,10 @@ def eta(F: CCircle, u: BoundaryPoint, omega: BoundaryPoint) -> BoundaryPoint:
 
     Fixed-point free on F, and Moebius as a map of F.
     """
-    return _chain_hit(F, omega, u)
+    n, u1 = _hit_chart(F, omega, u)
+    # the chart axis sits at z = 0, so the horizontal line through u1
+    # toward the axis lands on the fiber coordinate (0, t_u)
+    return n.inverse()(point(np.zeros(F.k - 1), u1.t))
 
 
 def reflection_in_ccircle(F: CCircle) -> MoebiusMap:

@@ -77,10 +77,6 @@ class SpaceConfig:
         if self.k < 1:
             raise GeometryError(f"complex dimension must be >= 1, got {self.k}")
 
-    @property
-    def horizontal_dim(self) -> int:
-        return self.k - 1
-
 
 @dataclass(frozen=True, eq=False)
 class BoundaryPoint:

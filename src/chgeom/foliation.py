@@ -47,23 +47,13 @@ __all__ = [
 _LIMIT_SCALES = (2.0 ** 19, 2.0 ** 20)   # a doubling pair for the Richardson step
 
 
-def _chart_scale(omega: BoundaryPoint, n: MoebiusMap) -> float:
-    """Factor between the inverted metric at omega and chart gauge distances."""
-    if omega.infinite:
-        return 1.0
-    k = omega.k
-    ninv = n.inverse()
-    p0 = ninv(point(np.zeros(k - 1), 0.0))
-    p1 = ninv(point(np.zeros(k - 1), 1.0))
-    return dist_w(omega, p0, p1)
-
-
 def project_base(omega: BoundaryPoint, x: BoundaryPoint) -> np.ndarray:
     """Base coordinate of x under the fibration by chains through omega.
 
-    Returned as a complex vector scaled so that distances between base
-    points equal the base metric; two points share a fiber exactly when
-    their projections agree.
+    Returned as the horizontal coordinate in the chart sending omega to
+    infinity.  That chart is an isometry from the metric with omega remote
+    to the gauge metric, so distances between base points equal the base
+    metric; two points share a fiber exactly when their projections agree.
     """
     if same_point(x, omega, tol=1e-14):
         raise GeometryError("the distinguished point has no base coordinate")
@@ -71,7 +61,7 @@ def project_base(omega: BoundaryPoint, x: BoundaryPoint) -> np.ndarray:
     x1 = n(x)
     if x1.infinite:
         raise GeometryError("x is indistinguishable from omega in the chart")
-    return _chart_scale(omega, n) * x1.z
+    return x1.z
 
 
 def base_dist(omega: BoundaryPoint, F: CCircle, Fp: CCircle) -> float:
@@ -152,12 +142,10 @@ def vertical_shift(omega: BoundaryPoint, s: float) -> MoebiusMap:
     In the chart with omega at infinity it is (z, t) -> (z, t + s).
     """
     k = omega.k
-    if omega.infinite:
+    if omega.infinite:  # conjugating by the identity chart would flip signed zeros
         return make_translation(np.zeros(k - 1), float(s))
     n = chart(omega)
-    lam = _chart_scale(omega, n)
-    inner = make_translation(np.zeros(k - 1), float(s) / (lam * lam))
-    return n.inverse() @ inner @ n
+    return n.inverse() @ make_translation(np.zeros(k - 1), float(s)) @ n
 
 
 def pure_homothety(o: BoundaryPoint, omega: BoundaryPoint, lam: float) -> MoebiusMap:

@@ -234,6 +234,8 @@ def replay(spec: str, k: int, tol: float | None = None) -> int:
         else:
             status = "PASS" if residual <= tol_eff else "FAIL"
             detail = f"residual={residual:9.3e}  tol={tol_eff:7.1e}"
+            if not math.isfinite(residual):  # fails as in run_suite; -inf <= tol holds
+                status, detail = "FAIL", f"non-finite residual {residual}"
         if status == "FAIL":
             failures += 1
         print(f"  [{status}] {prop.name:<36} {detail}")

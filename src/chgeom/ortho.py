@@ -1,10 +1,12 @@
 """Orthogonal complements of chains, mutual orthogonality, and Moebius joins.
 
-A fixed-point-free Moebius involution ``eta`` of a chain F singles out
-the set of points off F whose induced involution equals eta: the
-orthogonal complement of (F, eta).  It is the intersection of two
-explicit spheres, is stable under the reflection across F, and is
-fibered by chains through conjugate-pole pairs.
+A Moebius map ``eta`` of the boundary that restricts to a
+fixed-point-free involution of a chain F singles out the set of points
+off F whose induced involution equals eta: the orthogonal complement of
+(F, eta).  ``OrthoComplement.validate()`` checks the restriction.  The
+complement is the intersection of two explicit spheres, is stable under
+the reflection across F, and is fibered by chains through conjugate-pole
+pairs.
 
 The join machinery decomposes an arbitrary point onto a standard
 R-circle meeting F in an eta-pair and an orthogonal subspace in a
@@ -47,7 +49,6 @@ from .circles import (
 from .projective import MoebiusMap, make_dilation, make_inversion
 
 __all__ = [
-    "InvolutionOnCircle",
     "OrthoComplement",
     "JoinDecomposition",
     "StandardCircle",
@@ -65,64 +66,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InvolutionOnCircle:
-    """A Moebius map of the boundary restricting to an involution of F.
-
-    The restriction must be fixed-point free; equality of two such
-    involutions is decided by values at three points of F.
-    """
-
-    F: CCircle
-    g: MoebiusMap
-
-    def __call__(self, p: BoundaryPoint) -> BoundaryPoint:
-        return self.g(p)
-
-    def validate(self, tol: float = MEMBERSHIP_TOL) -> None:
-        for x in self.F.sample_points(3):
-            y = self.g(x)
-            if self.F.membership_residual(y) > tol:
-                raise GeometryError("map does not preserve the chain")
-            if chordal_sq(self.g(y), x) > 1e-7:
-                raise GeometryError("map is not an involution on the chain")
-            if chordal_sq(x, y) < 1e-6:
-                raise GeometryError("involution has a near-fixed point on the chain")
-
-
 def canonical_involution(F: CCircle, omega: BoundaryPoint, o: BoundaryPoint,
-                         rho: float) -> InvolutionOnCircle:
+                         rho: float) -> MoebiusMap:
     """The involution of F swapping omega and o with parameter rho.
 
-    In the chart where F is the vertical axis, omega infinite and o at
-    the origin, it acts on the chain as t -> -rho^4 / t; every
-    fixed-point-free Moebius involution of a chain is of this form in a
-    suitable chart.
+    Returns the Moebius map of the boundary that, in the chart where F is
+    the vertical axis, omega infinite and o at the origin, acts on the
+    chain as t -> -rho^4 / t; every fixed-point-free Moebius involution
+    of a chain is of this form in a suitable chart.
     """
     if not rho > 0:
         raise GeometryError("involution radius must be positive")
     c = chain_chart(F, omega, o)
     k = F.k
     inner = make_dilation(rho, k) @ make_inversion(k) @ make_dilation(1.0 / rho, k)
-    return InvolutionOnCircle(F=F, g=c.inverse() @ inner @ c)
+    return c.inverse() @ inner @ c
 
 
 @dataclass(frozen=True)
 class OrthoComplement:
     """Orthogonal complement of a chain F at an involution eta.
 
-    The set of points u off F whose induced chain involution is eta;
-    stable under the reflection across F, and fibered by chains through
-    conjugate-pole pairs.
+    ``eta`` is a Moebius map of the boundary whose restriction to F is a
+    fixed-point-free involution; ``validate()`` checks that restriction.
+    The complement is the set of points u off F whose induced chain
+    involution is eta; stable under the reflection across F, and fibered
+    by chains through conjugate-pole pairs.
     """
 
     F: CCircle
-    eta: InvolutionOnCircle
+    eta: MoebiusMap
 
     @property
     def k(self) -> int:
         return self.F.k
 
+    def validate(self, tol: float = MEMBERSHIP_TOL) -> None:
+        for x in self.F.sample_points(3):
+            y = self.eta(x)
+            if self.F.membership_residual(y) > tol:
+                raise GeometryError("map does not preserve the chain")
+            if chordal_sq(self.eta(y), x) > 1e-7:
+                raise GeometryError("map is not an involution on the chain")
+            if chordal_sq(x, y) < 1e-6:
+                raise GeometryError("involution has a near-fixed point on the chain")
+
+    @cached_property
     def chart_and_radius(self):
         """Chart placing (F, eta) in canonical position, and the radius.
 
@@ -130,10 +119,6 @@ class OrthoComplement:
         (infinity, origin); in it the complement is the set |z| = rho,
         t = 0.  Computed once per instance.
         """
-        return self._chart_and_radius
-
-    @cached_property
-    def _chart_and_radius(self):
         omega = self.F.point_at(math.inf)
         o = self.eta(omega)
         c = chain_chart(self.F, omega, o)
@@ -150,7 +135,7 @@ class OrthoComplement:
         raise GeometryError("could not place the involution in canonical position")
 
     def sample_points(self, n: int, rng) -> list:
-        c, rho = self.chart_and_radius()
+        c, rho = self.chart_and_radius
         cinv = c.inverse()
         m = self.k - 1
         if m == 0:
@@ -178,7 +163,7 @@ class OrthoComplement:
         for w in self.F.sample_points(3):
             n = chain_chart(self.F, w)
             charts.append((n, n.inverse(), self.eta(w)))
-        c, rho = self.chart_and_radius()
+        c, rho = self.chart_and_radius
         cinv = c.inverse()
         m = self.k - 1
         x = cinv(point(np.zeros(m), rho * rho))
@@ -321,7 +306,7 @@ def _radius_of(F_prime, chart: MoebiusMap) -> float:
     return mean
 
 
-def join_decompose(F: CCircle, eta: InvolutionOnCircle, F_prime, u: BoundaryPoint,
+def join_decompose(F: CCircle, eta: MoebiusMap, F_prime, u: BoundaryPoint,
                    omega: BoundaryPoint) -> JoinDecomposition:
     """Decompose u onto a standard R-circle of the join of F and F'.
 

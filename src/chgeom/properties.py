@@ -47,7 +47,6 @@ from .circles import (
     sphere_between,
 )
 from .ortho import (
-    InvolutionOnCircle,
     OrthoComplement,
     canonical_fiber,
     are_orthogonal,
@@ -436,8 +435,8 @@ def p_property_u(cfg, rng):
     worst = max(worst, sigma.membership_residual(u))
     # the equality forces membership: a perturbed point may only satisfy
     # it (within margin) if the perturbation happened to return to sigma
-    u_off = point(u.z, u.t + rng.uniform(0.5, 1.5)) if not u.infinite else u
-    if not u_off.infinite:
+    if not u.infinite:
+        u_off = point(u.z, u.t + rng.uniform(0.5, 1.5))
         defect_off = _rel(ptolemy_defect(x, y, z, u_off), scale)
         member_off = sigma.membership_residual(u_off)
         if defect_off < OFF_CIRCLE_MARGIN and member_off > 100 * OFF_CIRCLE_MARGIN:
@@ -812,8 +811,8 @@ def p_fixset_intersection(cfg, rng):
     e1[0] = 1.0
     F = canonical_chain(k).transported(g)
     Fp = ccircle_through(g(point(e1, 0.0)), g(point(-e1, 0.0)))
-    A = OrthoComplement(F=F, eta=InvolutionOnCircle(F=F, g=reflection_in_ccircle(Fp)))
-    Ap = OrthoComplement(F=Fp, eta=InvolutionOnCircle(F=Fp, g=reflection_in_ccircle(F)))
+    A = OrthoComplement(F=F, eta=reflection_in_ccircle(Fp))
+    Ap = OrthoComplement(F=Fp, eta=reflection_in_ccircle(F))
     worst = 0.0
     if k >= 3:
         e2 = np.zeros(k - 1, dtype=complex)
@@ -843,8 +842,7 @@ def p_nonfiber_chain(cfg, rng):
     e1[0], e2[1] = 1.0, 1.0
     # the transported unit-sphere complement: conjugate the gauge inversion,
     # whose chain restriction swaps the transported origin and infinity
-    eta = InvolutionOnCircle(F=F, g=g @ make_inversion(k) @ g.inverse())
-    A = OrthoComplement(F=F, eta=eta)
+    A = OrthoComplement(F=F, eta=g @ make_inversion(k) @ g.inverse())
     C = ccircle_through(g(point(e1, 0.0)), g(point(e2, 0.0)))
     worst = 0.0
     for tau in (-1.0, 0.0, 1.0, math.inf):

@@ -48,7 +48,7 @@ MIN_SEPARATION = 1e-3 * SAMPLE_SCALE
 
 def sample_point(cfg: SpaceConfig, rng: np.random.Generator) -> BoundaryPoint:
     """A finite point with z uniform in the radius-2 ball, t uniform in [-4, 4]."""
-    m = cfg.horizontal_dim
+    m = cfg.k - 1
     if m:
         direction = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         norm = np.linalg.norm(direction)
@@ -61,7 +61,7 @@ def sample_point(cfg: SpaceConfig, rng: np.random.Generator) -> BoundaryPoint:
 
 def _point_batch(cfg: SpaceConfig, rng: np.random.Generator, shape: tuple):
     """Chart coordinates (Z, T) of an array of points with the law of ``sample_point``."""
-    m = cfg.horizontal_dim
+    m = cfg.k - 1
     if m:
         raw = rng.standard_normal((*shape, m)) + 1j * rng.standard_normal((*shape, m))
         radii = 2.0 * rng.uniform(size=(*shape, 1)) ** (1.0 / (2 * m))
@@ -117,7 +117,7 @@ def random_moebius(cfg: SpaceConfig, rng: np.random.Generator,
     translations or dilations would blur the separation between on- and
     off-circle points that the membership tolerances rely on.
     """
-    m = cfg.horizontal_dim
+    m = cfg.k - 1
     if m:
         direction = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         z0 = direction / np.linalg.norm(direction) * 1.5 * rng.uniform() ** (1.0 / (2 * m))
@@ -192,7 +192,7 @@ def sample_ortho_complement(cfg: SpaceConfig, rng: np.random.Generator) -> Ortho
         rho = math.exp(rng.uniform(-0.35, 0.35))
         A = OrthoComplement(F=F, eta=canonical_involution(F, omega, o, rho))
         try:
-            chart, radius = A.chart_and_radius()
+            chart, radius = A.chart_and_radius
         except GeometryError:
             continue
         if float(np.max(np.abs(chart.g))) > 50.0:

@@ -203,9 +203,6 @@ class UnitaryReflection:
         w = self.line / np.linalg.norm(self.line)
         return 2.0 * np.outer(w, np.conj(w)) - np.eye(2, dtype=complex)
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix() @ v
-
 
 def word_matrix(word) -> np.ndarray:
     """Product of a word of reflections; the last element acts first."""

@@ -305,3 +305,8 @@ def test_circle_k1_degenerate():
     assert F.membership_residual(point([], -2.0)) < 1e-20
     with pytest.raises(GeometryError):
         rcircle_through_hitting(F, origin(1), point([], 3.0))
+    # with no horizontal directions the sphere through t = 1 is the pair t = +-1
+    S = sphere_between(origin(1), infinity(1), point([], 1.0))
+    ts = [p.t for p in S.sample_points(8, np.random.default_rng(0))]
+    assert all(abs(abs(t) - 1.0) < 1e-12 for t in ts)
+    assert min(ts) < 0.0 < max(ts)

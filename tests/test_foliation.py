@@ -16,6 +16,7 @@ from chgeom.core import (
     point,
 )
 from chgeom.circles import ccircle_through
+from chgeom.projective import chart
 from chgeom.foliation import (
     Polygon,
     base_dist,
@@ -60,6 +61,15 @@ def test_project_base_one_lipschitz(rng):
         x, y = sample_distinct_points(cfg, rng, 2)
         bx, by = project_base(omega, x), project_base(omega, y)
         assert np.linalg.norm(bx - by) <= dist(x, y) * (1 + 1e-12)
+
+
+def test_chart_carries_inverted_metric_to_gauge(space, rng):
+    # project_base and vertical_shift read the metric with omega remote
+    # straight off chart(omega), with no rescaling
+    for _ in range(20):
+        omega, p, q = sample_distinct_points(space, rng, 3)
+        n = chart(omega)
+        assert dist(n(p), n(q)) == pytest.approx(dist_w(omega, p, q), rel=1e-12)
 
 
 def test_project_base_finite_omega(rng):

@@ -1,6 +1,7 @@
 """Suite registry, determinism, report formats, CLI exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -127,6 +128,8 @@ def test_replay_runs_single_trial(capsys):
     out = capsys.readouterr().out
     assert "replaying trial 0" in out
     assert "conjugate_pole_cocircular" in out
+    assert replay("ortho:0:0", k=2) == 0
+    assert "[SKIP] nonfiber_chain_counterexample" in capsys.readouterr().out
     with pytest.raises(UsageError):
         replay("badspec", k=2)
     with pytest.raises(UsageError):
@@ -223,24 +226,32 @@ def _reject_nonstandard_constant(name):
 
 
 def test_nan_residual_fails_its_property(capsys):
-    # NaN compares false against every bound, so it must not slip through
+    # NaN compares false against every bound and -inf lies below every
+    # bound, so neither may slip through a run or its replay
     i = next(i for i, p in enumerate(REGISTRY) if p.name == "sectional_bounds")
     saved = REGISTRY[i]
-    REGISTRY[i] = replace(saved, fn=lambda cfg, rng: float("nan"))
-    try:
-        rep = run_suite(SuiteConfig(suite="holonomy", k=2, trials=100, seed=5))
-        code = main(["--suite", "holonomy", "--dim", "2", "--trials", "100",
-                     "--seed", "5", "--format", "json"])
-        out = capsys.readouterr().out
-    finally:
-        REGISTRY[i] = saved
-    failing = {p.name: p for p in rep.properties}["sectional_bounds"]
-    assert not failing.passed and failing.worst_trial == 0
-    assert failing.error == "non-finite residual nan"
-    assert failing.max_residual == 0.0
-    assert code == 1
-    data = json.loads(out, parse_constant=_reject_nonstandard_constant)
-    assert data["pass"] is False
+    for bad in (float("nan"), -math.inf):
+        REGISTRY[i] = replace(saved, fn=lambda cfg, rng, bad=bad: bad)
+        try:
+            rep = run_suite(SuiteConfig(suite="holonomy", k=2, trials=100, seed=5))
+            code = main(["--suite", "holonomy", "--dim", "2", "--trials", "100",
+                         "--seed", "5", "--format", "json"])
+            out = capsys.readouterr().out
+            replay_code = replay("holonomy:5:0", k=2)
+            replayed = capsys.readouterr().out
+        finally:
+            REGISTRY[i] = saved
+        failing = {p.name: p for p in rep.properties}["sectional_bounds"]
+        assert not failing.passed and failing.worst_trial == 0
+        assert failing.error == f"non-finite residual {bad}"
+        assert failing.max_residual == 0.0
+        assert code == 1
+        data = json.loads(out, parse_constant=_reject_nonstandard_constant)
+        assert data["pass"] is False
+        assert replay_code == 1
+        assert replayed.count("[FAIL]") == 1
+        assert "[FAIL] sectional_bounds" in replayed
+        assert f"non-finite residual {bad}" in replayed
 
 
 @pytest.mark.parametrize("seed, name", [

@@ -17,7 +17,6 @@ from chgeom.core import (
 )
 from chgeom.circles import ccircle_through, conjugate_pole, reflection_in_ccircle
 from chgeom.ortho import (
-    InvolutionOnCircle,
     OrthoComplement,
     are_orthogonal,
     canonical_fiber,
@@ -47,8 +46,8 @@ def canonical_complement():
 
 
 def test_canonical_involution_action(canonical_complement):
+    canonical_complement.validate()
     eta = canonical_complement.eta
-    eta.validate()
     assert chordal_sq(eta(infinity(2)), origin(2)) < 1e-15
     assert chordal_sq(eta(point([0], 1.0)), point([0], -1.0)) < 1e-14
     assert chordal_sq(eta(point([0], 2.0)), point([0], -0.5)) < 1e-14
@@ -57,7 +56,7 @@ def test_canonical_involution_action(canonical_complement):
 
 
 def test_chart_and_radius(canonical_complement):
-    _, rho = canonical_complement.chart_and_radius()
+    _, rho = canonical_complement.chart_and_radius
     assert rho == pytest.approx(1.0, abs=1e-12)
 
 
@@ -126,8 +125,8 @@ def test_fixset_intersection_k3(rng):
     Fp = ccircle_through(point(e1, 0.0), point(-e1, 0.0))
     u = point(e2, 0.0)
     assert fixset_psi_contains(F, Fp, u)
-    A = OrthoComplement(F=F, eta=InvolutionOnCircle(F=F, g=reflection_in_ccircle(Fp)))
-    Ap = OrthoComplement(F=Fp, eta=InvolutionOnCircle(F=Fp, g=reflection_in_ccircle(F)))
+    A = OrthoComplement(F=F, eta=reflection_in_ccircle(Fp))
+    Ap = OrthoComplement(F=Fp, eta=reflection_in_ccircle(F))
     assert ortho_contains(A, u) and ortho_contains(Ap, u)
     off = point(0.5 * e2 + 0.2 * e1, 0.3)
     assert fixset_psi_residual(F, Fp, off) > 1e-4
@@ -170,6 +169,13 @@ def test_join_decompose_canonical(canonical_complement):
     assert chordal_sq(dec.y, A.eta(dec.x)) < 1e-12
     # the chain intercept keeps the projection between the anchor and itself
     assert dec.x.t > 0
+    # on the R-line through o the pair degenerates to (o, omega)
+    u = point([0.5], 0.0)
+    dec = join_decompose(A.F, A.eta, A, u, infinity(2))
+    assert dec.yo == math.inf
+    assert chordal_sq(dec.x, origin(2)) < 1e-15
+    assert dist_w(infinity(2), dec.w, u) == pytest.approx(dec.r, rel=1e-12)
+    assert dec.sigma.membership_residual(u) < 1e-12
 
 
 def test_join_decompose_generic(space, rng):
@@ -259,7 +265,7 @@ def test_involution_validate_rejects_offenders(canonical_complement):
     from chgeom.projective import make_dilation
 
     with pytest.raises(GeometryError):
-        InvolutionOnCircle(F=F, g=make_dilation(2.0, 2)).validate()
+        OrthoComplement(F=F, eta=make_dilation(2.0, 2)).validate()
 
 
 def test_sample_points_refuses_squeezed_complement(rng):
@@ -267,6 +273,6 @@ def test_sample_points_refuses_squeezed_complement(rng):
     # chain margin, so no sample may be handed out
     F = canonical_chain(3)
     A = OrthoComplement(F, canonical_involution(F, infinity(3), origin(3), 1e-3))
-    assert A.chart_and_radius()[1] <= 1e-3
+    assert A.chart_and_radius[1] <= 1e-3
     with pytest.raises(GeometryError):
         A.sample_points(1, rng)
