@@ -5,10 +5,14 @@ Suites bundle the registered properties; a run is deterministic given
 seeded by (seed, property index, trial index), so results do not depend
 on the order of the trials or on their number, and any failing sample
 is replayable with ``--replay suite:seed:index --dim k`` (plus the
-run's ``--tol``, if one was given).  Trials run one after another in
-one thread.  A trial that raises, or returns a non-finite residual,
-fails its property: the report names the exception (or the residual)
-and the trial index, and the property runs no further trials.
+run's ``--tol``, if one was given).  ``--replay`` is a run of that one
+trial, judged by the same code as the run.  Trials run one after
+another in one thread.  A trial that raises, or returns a non-finite
+residual, fails its property: the report names the exception (or the
+residual) and the trial index, and the property runs no further trials.
+
+The seed must be >= 0 and ``--tol`` positive and finite; ``--format``
+only selects how the report is printed.
 
 Exit codes: 0 all properties pass, 1 a property failed (a raising or
 non-finite trial included), 2 usage error.
@@ -55,7 +59,6 @@ class SuiteConfig:
     trials: int = 1000
     seed: int = 0
     tol: float | None = None
-    format: str = "text"
 
     def __post_init__(self) -> None:
         if self.suite not in (*SUITE_NAMES, "all"):
@@ -65,10 +68,10 @@ class SuiteConfig:
             raise UsageError("dimension must be a positive integer")
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
-        if self.tol is not None and not self.tol > 0:
-            raise UsageError("tolerance must be positive")
-        if self.format not in ("text", "json"):
-            raise UsageError(f"unknown format {self.format!r}")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise UsageError("tolerance must be positive and finite")
 
 
 @dataclass
@@ -154,11 +157,9 @@ def _effective_trials(prop: Property, trials: int) -> int:
     return max(1, round(prop.base_trials * trials / REFERENCE_TRIALS))
 
 
-def _describe(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig) -> PropertyReport:
+def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig,
+                  indices: range) -> PropertyReport:
+    """Run the trials ``indices`` of one property and judge them."""
     space = SpaceConfig(k=cfg.k)
     tol = cfg.tol if cfg.tol is not None else prop.tol
     if cfg.k < prop.min_k:
@@ -167,13 +168,12 @@ def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig) -> Property
             tol=tol, trials=0, max_residual=0.0, worst_trial=-1,
             passed=True, skipped=True,
         )
-    n = _effective_trials(prop, cfg.trials)
     worst, worst_i, error = 0.0, -1, None
-    for i in range(n):
+    for i in indices:
         try:
             r = float(prop.fn(space, _trial_rng(cfg.seed, prop_index, i)))
         except Exception as exc:  # a raising trial fails its property, not the run
-            worst_i, error = i, _describe(exc)
+            worst_i, error = i, f"{type(exc).__name__}: {exc}"
             break
         if not math.isfinite(r):  # fails like a raising trial; r > worst misses NaN
             worst_i, error = i, f"non-finite residual {r}"
@@ -182,33 +182,30 @@ def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig) -> Property
             worst, worst_i = r, i
     return PropertyReport(
         name=prop.name, statement=prop.statement, module=prop.module,
-        tol=tol, trials=n, max_residual=worst, worst_trial=worst_i,
+        tol=tol, trials=len(indices), max_residual=worst, worst_trial=worst_i,
         passed=error is None and worst <= tol, error=error,
     )
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Run every property of the suite; deterministic given (seed, cfg)."""
-    props = suite_properties(cfg.suite)
-    if not props:
-        raise UsageError(f"suite {cfg.suite!r} has no registered properties")
     report = SuiteReport(
         suite=cfg.suite,
-        config={"k": cfg.k, "trials": cfg.trials, "seed": cfg.seed,
-                "tol": cfg.tol, "format": cfg.format},
+        config={"k": cfg.k, "trials": cfg.trials, "seed": cfg.seed, "tol": cfg.tol},
     )
     start = time.perf_counter()
-    for prop in props:
-        prop_index = REGISTRY.index(prop)
-        report.properties.append(_run_property(prop, prop_index, cfg))
+    for prop in suite_properties(cfg.suite):
+        indices = range(_effective_trials(prop, cfg.trials))
+        report.properties.append(_run_property(prop, REGISTRY.index(prop), cfg, indices))
     report.wall_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
 def replay(spec: str, k: int, tol: float | None = None) -> int:
-    """Re-execute a single trial of every property of a suite, verbosely.
+    """Re-run a single trial of every property of a suite, verbosely.
 
-    ``spec`` has the form suite:seed:index.
+    ``spec`` has the form suite:seed:index; each property runs that one
+    trial through the same judge as ``run_suite``.
     """
     try:
         suite, seed_s, index_s = spec.split(":")
@@ -218,28 +215,20 @@ def replay(spec: str, k: int, tol: float | None = None) -> int:
     if index < 0:
         raise UsageError("replay index must be >= 0")
     cfg = SuiteConfig(suite=suite, k=k, seed=seed, tol=tol)
-    space = SpaceConfig(k=k)
     failures = 0
     print(f"replaying trial {index} of suite {suite} (seed={seed}, k={k})")
     for prop in suite_properties(suite):
-        if k < prop.min_k:
-            print(f"  [SKIP] {prop.name} (needs k >= {prop.min_k})")
+        p = _run_property(prop, REGISTRY.index(prop), cfg, range(index, index + 1))
+        if p.skipped:
+            print(f"  [SKIP] {p.name} (needs k >= {prop.min_k})")
             continue
-        prop_index = REGISTRY.index(prop)
-        tol_eff = cfg.tol if cfg.tol is not None else prop.tol
-        try:
-            residual = float(prop.fn(space, _trial_rng(seed, prop_index, index)))
-        except Exception as exc:  # a raising trial fails, as in run_suite
-            status, detail = "FAIL", f"raised {_describe(exc)}"
+        if p.error is not None:
+            detail = f"raised {p.error}"
         else:
-            status = "PASS" if residual <= tol_eff else "FAIL"
-            detail = f"residual={residual:9.3e}  tol={tol_eff:7.1e}"
-            if not math.isfinite(residual):  # fails as in run_suite; -inf <= tol holds
-                status, detail = "FAIL", f"non-finite residual {residual}"
-        if status == "FAIL":
-            failures += 1
-        print(f"  [{status}] {prop.name:<36} {detail}")
-        print(f"          {prop.statement}")
+            detail = f"residual={p.max_residual:9.3e}  tol={p.tol:7.1e}"
+        failures += not p.passed
+        print(f"  [{'PASS' if p.passed else 'FAIL'}] {p.name:<36} {detail}")
+        print(f"          {p.statement}")
     return 1 if failures else 0
 
 
@@ -255,9 +244,10 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=1000,
                         help=f"sampling budget; {REFERENCE_TRIALS} reproduces the "
                              "reference per-property counts (default 1000)")
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help="base seed, >= 0 (default 0)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override every property tolerance (default: per-property)")
+                        help="override every property tolerance with a positive, "
+                             "finite value (default: per-property)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--replay", default=None, metavar="SUITE:SEED:INDEX",
                         help="re-execute one trial verbosely and exit")
@@ -272,9 +262,9 @@ def main(argv=None) -> int:
         if args.suite is None:
             raise UsageError("--suite is required (or use --replay)")
         cfg = SuiteConfig(suite=args.suite, k=args.dim, trials=args.trials,
-                          seed=args.seed, tol=args.tol, format=args.format)
+                          seed=args.seed, tol=args.tol)
         report = run_suite(cfg)
-        print(report.to_json() if cfg.format == "json" else report.to_text())
+        print(report.to_json() if args.format == "json" else report.to_text())
         return 0 if report.passed else 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -176,6 +176,19 @@ class OrthoComplement:
         return charts, spheres
 
 
+def _three_point_residual(A: OrthoComplement, u: BoundaryPoint) -> float:
+    if A.F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
+        raise GeometryError("membership in the complement needs a point off the chain")
+    charts, _ = A._membership_data
+    m = A.k - 1
+    r3 = 0.0
+    for n, ninv, target in charts:
+        u1 = n(u)
+        hit = ninv(point(np.zeros(m), u1.t))
+        r3 = max(r3, chordal_sq(hit, target))
+    return r3
+
+
 def ortho_membership_residuals(A: OrthoComplement, u: BoundaryPoint):
     """The two membership residuals of u in A: three-point and two-sphere.
 
@@ -187,23 +200,15 @@ def ortho_membership_residuals(A: OrthoComplement, u: BoundaryPoint):
     through o.  The symmetric intercepts of the canonical chart realize
     such a quadruple exactly.
     """
-    if A.F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
-        raise GeometryError("membership in the complement needs a point off the chain")
-    charts, spheres = A._membership_data
-    m = A.k - 1
-    r3 = 0.0
-    for n, ninv, target in charts:
-        u1 = n(u)
-        hit = ninv(point(np.zeros(m), u1.t))
-        r3 = max(r3, chordal_sq(hit, target))
-    r_s = max(s.membership_residual(u) for s in spheres)
-    return r3, r_s
+    r3 = _three_point_residual(A, u)
+    _, spheres = A._membership_data
+    return r3, max(s.membership_residual(u) for s in spheres)
 
 
 def ortho_contains(A: OrthoComplement, u: BoundaryPoint,
                    tol: float = MEMBERSHIP_TOL) -> bool:
-    r3, _ = ortho_membership_residuals(A, u)
-    return r3 <= tol
+    """Membership of u in A by the three-point residual alone."""
+    return _three_point_residual(A, u) <= tol
 
 
 def canonical_fiber(A: OrthoComplement, u: BoundaryPoint) -> CCircle:
@@ -261,8 +266,8 @@ def intercept_distances(a: float, b: float, rho: float):
     Y = |yo|; the quadratic solution uses the cancellation-free branch so
     both defining equations are reproduced to machine precision.
     """
-    if not (a > 0 and b > 0 and rho > 0):
-        raise GeometryError("intercept data must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf and 0 < rho < math.inf):
+        raise GeometryError("intercept data must be positive and finite")
     cc = (a ** 4 + b ** 4 - rho ** 4) / (b * b)
     root = math.hypot(cc, 2.0 * rho * rho)
     if cc >= 0.0:

@@ -183,7 +183,7 @@ class MoebiusMap:
             raise GeometryError("a Moebius map needs a square matrix")
         self.g = g
         self.muls = muls
-        if check and self.form_residual() > 1e-6:
+        if check and not self.form_residual() <= 1e-6:  # NaN fails too
             raise GeometryError("matrix does not preserve the Hermitian form")
 
     @property
@@ -286,7 +286,7 @@ def make_rotation(U) -> MoebiusMap:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise GeometryError("rotation needs a square unitary matrix")
     m = U.shape[0]
-    if m and np.max(np.abs(U.conj().T @ U - np.eye(m))) > 1e-10:
+    if m and not np.max(np.abs(U.conj().T @ U - np.eye(m))) <= 1e-10:
         raise GeometryError("rotation matrix is not unitary")
     g = np.eye(m + 2, dtype=complex)
     g[1 : m + 1, 1 : m + 1] = U
@@ -295,8 +295,8 @@ def make_rotation(U) -> MoebiusMap:
 
 def make_dilation(lam: float, k: int) -> MoebiusMap:
     """Dilation (z, t) -> (lam z, lam^2 t), fixing the origin and infinity."""
-    if not lam > 0:
-        raise GeometryError(f"dilation coefficient must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise GeometryError(f"dilation coefficient must be positive and finite, got {lam}")
     d = np.ones(k + 1, dtype=complex)
     d[0] = lam
     d[k] = 1.0 / lam

@@ -1265,10 +1265,7 @@ def _props():
 
 REGISTRY = _props()
 
-SUITE_NAMES = [
-    "axioms_e", "axioms_o", "ptolemy", "distance_formula", "circles",
-    "foliation", "holonomy", "ortho", "join", "automorphisms",
-]
+SUITE_NAMES = list(dict.fromkeys(p.suite for p in REGISTRY))
 
 
 def suite_properties(suite: str):

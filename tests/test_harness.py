@@ -13,6 +13,7 @@ from chgeom.harness import (
     REPORT_SCHEMA,
     SuiteConfig,
     UsageError,
+    _effective_trials,
     _run_property,
     main,
     replay,
@@ -65,7 +66,7 @@ def test_report_schema_fields():
     assert data["schema"] == REPORT_SCHEMA
     assert data["suite"] == "holonomy"
     assert data["pass"] is True
-    assert set(data["config"]) == {"k", "trials", "seed", "tol", "format"}
+    assert set(data["config"]) == {"k", "trials", "seed", "tol"}
     for prop in data["properties"]:
         assert set(prop) == {"name", "statement", "module", "tol", "trials",
                              "max_residual", "worst_trial", "pass", "skipped",
@@ -92,10 +93,11 @@ def test_suite_config_validation():
         SuiteConfig(suite="ptolemy", k=0)
     with pytest.raises(UsageError):
         SuiteConfig(suite="ptolemy", trials=0)
+    for tol in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(UsageError):
+            SuiteConfig(suite="ptolemy", tol=tol)
     with pytest.raises(UsageError):
-        SuiteConfig(suite="ptolemy", tol=-1.0)
-    with pytest.raises(UsageError):
-        SuiteConfig(suite="ptolemy", format="yaml")
+        SuiteConfig(suite="ptolemy", seed=-1)
 
 
 def test_main_exit_codes(capsys):
@@ -105,6 +107,12 @@ def test_main_exit_codes(capsys):
     err = capsys.readouterr().err
     assert "usage error" in err
     assert main([]) == 2
+    # a negative seed and an infinite tolerance are usage errors, not runs
+    for argv in (["--suite", "holonomy", "--seed", "-1"],
+                 ["--replay", "holonomy:-1:0"],
+                 ["--suite", "holonomy", "--trials", "20", "--tol", "inf"]):
+        assert main(argv) == 2
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_main_json_format(capsys):
@@ -263,5 +271,6 @@ def test_squeezed_complements_are_resampled(seed, name):
     # these suite seeds once drew complements too close to their chain to
     # sample from, and the trial raised
     i = next(i for i, p in enumerate(REGISTRY) if p.name == name)
-    rep = _run_property(REGISTRY[i], i, SuiteConfig("all", k=3, trials=600, seed=seed))
+    cfg = SuiteConfig("all", k=3, trials=600, seed=seed)
+    rep = _run_property(REGISTRY[i], i, cfg, range(_effective_trials(REGISTRY[i], 600)))
     assert rep.passed and rep.error is None

@@ -15,7 +15,13 @@ from chgeom.core import (
     origin,
     point,
 )
-from chgeom.circles import ccircle_through, conjugate_pole, reflection_in_ccircle
+from chgeom.circles import (
+    MEMBERSHIP_TOL,
+    Sphere,
+    ccircle_through,
+    conjugate_pole,
+    reflection_in_ccircle,
+)
 from chgeom.ortho import (
     OrthoComplement,
     are_orthogonal,
@@ -73,6 +79,22 @@ def test_ortho_membership_canonical(canonical_complement):
         assert not ortho_contains(A, u)
     with pytest.raises(GeometryError):
         ortho_membership_residuals(A, point([0], 1.0))
+
+
+def test_ortho_contains_reads_only_the_three_point_residual(space, rng, monkeypatch):
+    A = sample_ortho_complement(space, rng)
+    on = A.sample_points(3, rng)
+    on.append(conjugate_pole(A.F, on[0]))
+    off = [u for u in (sample_point(space, rng) for _ in range(8))
+           if A.F.membership_residual(u) > 1e-3]
+    expected = [ortho_membership_residuals(A, u)[0] <= MEMBERSHIP_TOL for u in on + off]
+    assert expected == [True] * len(on) + [False] * len(off) and off
+    calls = []
+    original = Sphere.membership_residual
+    monkeypatch.setattr(Sphere, "membership_residual",
+                        lambda s, p: calls.append(p) or original(s, p))
+    assert [ortho_contains(A, u) for u in on + off] == expected
+    assert calls == []
 
 
 def test_ortho_membership_tests_agree(space, rng):
@@ -154,6 +176,12 @@ def test_intercept_distances_symmetric_branch():
     X2, Y2, c2 = intercept_distances(1.3, 0.4, 0.9)
     assert X2 * Y2 == pytest.approx(0.81, rel=1e-14)
     assert X2 ** 2 - Y2 ** 2 == pytest.approx(c2, rel=1e-12)
+
+
+def test_intercept_distances_reject_non_finite_data():
+    for data in ((1.0, 1.0, math.inf), (math.inf, 1.0, 1.0), (1.0, math.nan, 1.0)):
+        with pytest.raises(GeometryError, match="positive and finite"):
+            intercept_distances(*data)
 
 
 def test_join_decompose_canonical(canonical_complement):

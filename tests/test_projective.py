@@ -115,6 +115,17 @@ def test_rotation_fixes_axis():
         make_rotation(np.array([[2.0]]))
 
 
+def test_rotation_rejects_non_finite_matrix():
+    with pytest.raises(GeometryError, match="not unitary"):
+        make_rotation(np.array([[math.nan]]))
+
+
+def test_dilation_rejects_non_finite_coefficient():
+    for lam in (math.inf, math.nan):
+        with pytest.raises(GeometryError, match="positive and finite"):
+            make_dilation(lam, 2)
+
+
 def test_dilation_action_and_scaling():
     D = make_dilation(2.0, 2)
     assert chordal_sq(D(point([1], 1.0)), point([2], 4.0)) < 1e-14
@@ -164,6 +175,13 @@ def test_identity_and_compose_form_preservation(rng):
     for _ in range(40):
         comp = comp @ random_moebius(cfg, rng)
     assert comp.form_residual() < 1e-10
+
+
+def test_moebius_map_check_rejects_non_finite_matrix():
+    # a NaN form residual compares false against every bound
+    for bad in (math.nan, math.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(GeometryError, match="Hermitian form"):
+            MoebiusMap(np.full((3, 3), bad))
 
 
 def test_inverse_uses_form():
