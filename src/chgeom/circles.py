@@ -22,6 +22,7 @@ two points.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from .core import (
     BoundaryPoint,
+    axis_point,
     GeometryError,
     dist,
     dist_w,
@@ -89,6 +91,30 @@ def _sample_params(n: int, rng, step: float):
     return params
 
 
+# Constructions ask a circle the same questions about the same points many
+# times.  Points are immutable, so a circle memoizes the answers by the
+# identity of the points asked about.  An entry refers to those points
+# weakly, so it neither keeps them alive nor mistakes a reused id for
+# them, and a full memo starts over, so circles that live long stay small.
+_MEMO_SIZE = 32
+
+
+def _recall(owner, key: tuple, points: tuple = ()):
+    """The value remembered under ``key`` for these very points, or None."""
+    entry = owner.__dict__.setdefault("_memo", {}).get(key)
+    if entry is not None and all(ref() is p for ref, p in zip(entry[0], points)):
+        return entry[1]
+    return None
+
+
+def _remember(owner, key: tuple, points: tuple, value):
+    memo = owner.__dict__["_memo"]
+    if len(memo) >= _MEMO_SIZE:
+        memo.clear()
+    memo[key] = (tuple(map(weakref.ref, points)), value)
+    return value
+
+
 class _Membership:
     """``contains``, for the shapes that define ``membership_residual``."""
 
@@ -107,10 +133,17 @@ class CCircle(_Membership):
         return self.map.k
 
     def point_at(self, tau: float) -> BoundaryPoint:
-        """Image of the canonical chain point (0, tau); tau = inf allowed."""
-        if math.isinf(tau):
-            return self.map(infinity(self.k))
-        return self.map(point(np.zeros(self.k - 1), tau))
+        """Image of the canonical chain point (0, tau); tau = inf allowed.
+
+        Memoized per parameter (and its sign, which a zero carries into
+        the coordinates).
+        """
+        key = ("point", tau, math.copysign(1.0, tau))
+        p = _recall(self, key)
+        if p is None:
+            p = _remember(self, key, (), self.map(
+                infinity(self.k) if math.isinf(tau) else axis_point(self.k, tau)))
+        return p
 
     def sample_points(self, n: int, rng=None) -> list:
         return [self.point_at(float(t)) for t in _sample_params(n, rng, 0.37)]
@@ -126,6 +159,10 @@ class CCircle(_Membership):
         return Q
 
     @cached_property
+    def _plane_adjoint(self) -> np.ndarray:
+        return self._plane_basis.conj().T
+
+    @cached_property
     def _reflection(self) -> MoebiusMap:
         return self.map @ axis_reflection(self.k) @ self.map.inverse()
 
@@ -139,11 +176,15 @@ class CCircle(_Membership):
 
         Quadratic in the transverse displacement, so machine-exact
         constructions score near 1e-16 while genuinely off-circle points
-        score far above the membership tolerance.
+        score far above the membership tolerance.  Memoized per point.
         """
-        Q = self._plane_basis
-        X = lift(p)
-        return float(_norm(X - Q @ (Q.conj().T @ X)) ** 2)
+        key = ("residual", id(p))
+        r = _recall(self, key, (p,))
+        if r is None:
+            X = lift(p)
+            r = _remember(self, key, (p,), float(
+                _norm(X - self._plane_basis @ (self._plane_adjoint @ X)) ** 2))
+        return r
 
 
 @dataclass(frozen=True)
@@ -157,11 +198,21 @@ class RCircle(_Membership):
         return self.map.k
 
     def point_at(self, s: float) -> BoundaryPoint:
-        if math.isinf(s):
-            return self.map(infinity(self.k))
-        z = np.zeros(self.k - 1, dtype=complex)
-        z[0] = s
-        return self.map(point(z, 0.0))
+        """Image of the canonical point (s e_1, 0); s = inf allowed.
+
+        Memoized like :meth:`CCircle.point_at`.
+        """
+        key = ("point", s, math.copysign(1.0, s))
+        p = _recall(self, key)
+        if p is None:
+            if math.isinf(s):
+                p = self.map(infinity(self.k))
+            else:
+                z = np.zeros(self.k - 1, dtype=complex)
+                z[0] = s
+                p = self.map(point(z, 0.0))
+            _remember(self, key, (), p)
+        return p
 
     def sample_points(self, n: int, rng=None) -> list:
         return [self.point_at(float(s)) for s in _sample_params(n, rng, 0.41)]
@@ -214,15 +265,21 @@ def chain_chart(F: CCircle, omega: BoundaryPoint, o: BoundaryPoint | None = None
     """Chart sending omega to infinity and F to the vertical axis.
 
     With ``o`` given (a point of F), o goes to the origin; otherwise the
-    axis position is fixed by an arbitrary second point of F.
+    axis position is fixed by an arbitrary second point of F.  Memoized
+    per chain and point pair.
     """
+    points = (omega,) if o is None else (omega, o)
+    key = ("chart", *map(id, points))
+    n = _recall(F, key, points)
+    if n is not None:
+        return n
     if not F.contains(omega):
         raise GeometryError("omega must lie on the chain")
     if o is None:
-        o = _chain_point_away_from(F, omega)
+        anchor = _chain_point_away_from(F, omega)
     elif not F.contains(o):
         raise GeometryError("o must lie on the chain")
-    return chart(omega, o)
+    return _remember(F, key, points, chart(omega, anchor if o is None else o))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +359,7 @@ def eta(F: CCircle, u: BoundaryPoint, omega: BoundaryPoint) -> BoundaryPoint:
     n, u1 = _hit_chart(F, omega, u)
     # the chart axis sits at z = 0, so the horizontal line through u1
     # toward the axis lands on the fiber coordinate (0, t_u)
-    return n.inverse()(point(np.zeros(F.k - 1), u1.t))
+    return n.inverse()(axis_point(F.k, u1.t))
 
 
 def reflection_in_ccircle(F: CCircle) -> MoebiusMap:
@@ -367,7 +424,7 @@ class Sphere(_Membership):
             zn = math.sqrt(max(math.cos(phi), 0.0)) * r
             if m:
                 direction = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                direction /= np.linalg.norm(direction)
+                direction /= _norm(direction)
                 z = zn * direction
             else:
                 z = np.zeros(0, dtype=complex)

@@ -16,8 +16,10 @@ pure function of immutable values.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "point",
     "origin",
     "infinity",
+    "axis_point",
     "heis_mul",
     "heis_inv",
     "gauge",
@@ -78,19 +81,31 @@ class SpaceConfig:
             raise GeometryError(f"complex dimension must be >= 1, got {self.k}")
 
 
-@dataclass(frozen=True, eq=False)
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, eq=False, init=False, slots=True, weakref_slot=True)
 class BoundaryPoint:
     """A boundary point: finite Heisenberg coordinates (z, t) or infinity.
 
     ``z`` always has shape (k-1,), also for the infinite point, so every
     point knows the ambient dimension.  Use :func:`same_point` for
     tolerance-aware comparison; componentwise equality is meaningless
-    under the gauge metric.
+    under the gauge metric.  ``_lift`` holds the unit null lift once
+    :func:`chgeom.projective.lift` has computed it.
     """
 
     z: np.ndarray
     t: float
     infinite: bool = False
+    _lift: np.ndarray | None = field(default=None, repr=False)
+
+    def __init__(self, z: np.ndarray, t: float, infinite: bool = False):
+        # frozen: each field is written once, here, past the frozen __setattr__
+        _setattr(self, "z", z)
+        _setattr(self, "t", t)
+        _setattr(self, "infinite", infinite)
+        _setattr(self, "_lift", None)
 
     @property
     def k(self) -> int:
@@ -111,17 +126,35 @@ def point(z, t: float) -> BoundaryPoint:
     if not (type(z) is np.ndarray and z.ndim == 1 and z.dtype is _COMPLEX):
         z = np.atleast_1d(np.asarray(z, dtype=complex)).reshape(-1)
     t = float(t)
-    if not (math.isfinite(t) and np.isfinite(z).all()):
+    if not (math.isfinite(t) and all(map(cmath.isfinite, z.tolist()))):
         raise GeometryError("finite points need finite coordinates")
-    return BoundaryPoint(z=z, t=t)
+    return BoundaryPoint(z, t)
 
 
+def _frozen_zeros(n: int) -> np.ndarray:
+    z = np.zeros(n, dtype=complex)
+    z.flags.writeable = False
+    return z
+
+
+@lru_cache(maxsize=None)
 def origin(k: int) -> BoundaryPoint:
-    return BoundaryPoint(z=np.zeros(k - 1, dtype=complex), t=0.0)
+    """The chart origin; one shared instance per dimension."""
+    return BoundaryPoint(z=_frozen_zeros(k - 1), t=0.0)
 
 
+@lru_cache(maxsize=None)
 def infinity(k: int) -> BoundaryPoint:
-    return BoundaryPoint(z=np.zeros(k - 1, dtype=complex), t=0.0, infinite=True)
+    """The infinite point; one shared instance per dimension."""
+    return BoundaryPoint(z=_frozen_zeros(k - 1), t=0.0, infinite=True)
+
+
+def axis_point(k: int, t: float) -> BoundaryPoint:
+    """The finite point (0, t) of the vertical axis."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise GeometryError("finite points need finite coordinates")
+    return BoundaryPoint(origin(k).z, t)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +186,8 @@ def gauge(p: BoundaryPoint) -> float:
 
 def dist(p: BoundaryPoint, q: BoundaryPoint) -> float:
     """Left-invariant gauge distance, with d(p, inf) = inf and d(inf, inf) = 0."""
-    if p.infinite and q.infinite:
-        return 0.0
     if p.infinite or q.infinite:
-        return math.inf
+        return 0.0 if p.infinite and q.infinite else math.inf
     dz = q.z - p.z
     dt = q.t - p.t + 2.0 * complex(np.vdot(p.z, q.z)).imag
     zz = complex(np.vdot(dz, dz)).real
@@ -170,9 +201,9 @@ def dist_batch(Z1, T1, Z2, T2):
     heights; agrees with :func:`dist` entrywise.
     """
     dz = Z2 - Z1
-    cross = np.sum(Z1 * np.conj(Z2), axis=-1).imag
+    cross = (Z1 * Z2.conj()).sum(axis=-1).imag
     dt = T2 - T1 - 2.0 * cross
-    zz = np.sum((dz * np.conj(dz)).real, axis=-1)
+    zz = (dz * dz.conj()).real.sum(axis=-1)
     return (zz * zz + dt * dt) ** 0.25
 
 

@@ -29,7 +29,9 @@ performs the same floating-point operations in the same order as the
 ``np.linalg.norm``/``np.sum``/``np.conj`` expressions it replaces, and
 refactors leave verification reports bit-identical.  Python ``complex``
 arithmetic or BLAS ``dot``/``vdot`` in their place would round
-differently in the last bit.
+differently in the last bit.  Python scalars are used only where a value
+is compared with a tolerance and goes no further (the tests in ``drop``).
+A point keeps its lift once computed.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from .core import (
     _COMPLEX,
     BoundaryPoint,
     GeometryError,
+    axis_point,
     chordal_sq,
     dist,
-    heis_inv,
     infinity,
     origin,
     point,
@@ -97,13 +99,22 @@ def form_matrix(k: int) -> np.ndarray:
     return H
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """Read-only complex identity of size n; ``.copy()`` it to build on it."""
+    I = np.eye(n, dtype=complex)
+    I.setflags(write=False)
+    return I
+
+
 def _norm(X: np.ndarray) -> float:
     """Euclidean norm of a 1-d complex vector.
 
     The arithmetic of ``np.linalg.norm`` on such a vector, bit for bit,
     without its dispatch.
     """
-    return math.sqrt(X.real.dot(X.real) + X.imag.dot(X.imag))
+    re, im = X.real, X.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def herm(X: np.ndarray, Y: np.ndarray) -> complex:
@@ -115,22 +126,27 @@ def herm(X: np.ndarray, Y: np.ndarray) -> complex:
 
 
 def _affine_lift(p: BoundaryPoint) -> np.ndarray:
-    k = p.k
-    X = np.zeros(k + 1, dtype=complex)
     if p.infinite:
+        X = np.zeros(p.k + 1, dtype=complex)
         X[0] = 1.0
         return X
     zz = complex(np.vdot(p.z, p.z)).real
-    X[0] = 0.5 * (-zz + 1j * p.t)
-    X[1:k] = p.z
-    X[k] = 1.0
-    return X
+    return np.array([0.5 * (-zz + 1j * p.t), *p.z.tolist(), 1.0], dtype=complex)
 
 
 def lift(p: BoundaryPoint) -> NullVector:
-    """Unit-norm null vector representing ``p``; lift of infinity is e_0."""
-    X = _affine_lift(p)
-    return X / _norm(X)
+    """Unit-norm null vector representing ``p``; lift of infinity is e_0.
+
+    Points are immutable, so the lift is computed once per point and
+    kept on it; the returned array is read-only.
+    """
+    X = p._lift
+    if X is None:
+        X = _affine_lift(p)
+        X = X / _norm(X)
+        X.flags.writeable = False
+        object.__setattr__(p, "_lift", X)  # the point's cache slot
+    return X
 
 
 def drop(X: NullVector) -> BoundaryPoint:
@@ -143,26 +159,37 @@ def drop(X: NullVector) -> BoundaryPoint:
     relation Re(X_0/X_k) = -|z|^2/2 rescaled to the chart (a roundoff-size
     null defect explodes under division by a near-zero last coordinate,
     which is exactly the signature of a blurred image of infinity).
+
+    The tests only compare against tolerances, so they run on Python
+    scalars; the chart coordinates are numpy's quotients X_i / X_k.
     """
     if not (type(X) is np.ndarray and X.dtype is _COMPLEX):
         X = np.asarray(X, dtype=complex)
     k = X.shape[0] - 1
-    norm = _norm(X)
-    if not math.isfinite(norm):
+    x = X.tolist()
+    x0, xk = x[0], x[k]
+    middle = 0.0
+    for c in x[1:k]:
+        middle += c.real * c.real + c.imag * c.imag
+    nn = x0.real * x0.real + x0.imag * x0.imag + xk.real * xk.real + xk.imag * xk.imag + middle
+    if not math.isfinite(nn):
         raise GeometryError("non-finite vector does not define a boundary point")
-    if not norm > 0:
+    if not nn > 0:
         raise GeometryError("zero vector does not define a boundary point")
-    if abs(herm(X, X)) > NULL_TOL * norm * norm:
+    # <X, X> = 2 Re(X_0 conj(X_k)) + sum |X_i|^2
+    if abs(2.0 * (x0.real * xk.real + x0.imag * xk.imag) + middle) > NULL_TOL * nn:
         raise GeometryError("vector is not null within tolerance")
-    if abs(X[k]) <= INFINITY_SLICE_TOL * norm:
+    if abs(xk) <= INFINITY_SLICE_TOL * math.sqrt(nn):
         return infinity(k)
-    w = X[0] / X[k]
-    z = X[1:k] / X[k]
-    zz = complex(np.vdot(z, z)).real
+    q = X[:k] / X[k]
+    w, *z = q.tolist()
+    zz = 0.0
+    for c in z:
+        zz += c.real * c.real + c.imag * c.imag
     if abs(w.real + 0.5 * zz) > FINITE_CONSISTENCY_TOL * (1.0 + abs(w)):
         return infinity(k)
     # coordinates are finite by the checks above; skip point() validation
-    return BoundaryPoint(z=z, t=2.0 * w.imag)
+    return BoundaryPoint(q[1:], 2.0 * w.imag)
 
 
 class MoebiusMap:
@@ -178,7 +205,8 @@ class MoebiusMap:
     __slots__ = ("g", "muls")
 
     def __init__(self, g: np.ndarray, *, check: bool = True, muls: int = 0):
-        g = np.asarray(g, dtype=complex)
+        if not (type(g) is np.ndarray and g.dtype is _COMPLEX):
+            g = np.asarray(g, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise GeometryError("a Moebius map needs a square matrix")
         self.g = g
@@ -192,7 +220,7 @@ class MoebiusMap:
 
     @classmethod
     def identity(cls, k: int) -> "MoebiusMap":
-        return cls(np.eye(k + 1, dtype=complex), check=False)
+        return cls(_identity(k + 1).copy(), check=False)
 
     def form_residual(self) -> float:
         """Deviation from form preservation, relative to the matrix scale.
@@ -215,7 +243,7 @@ class MoebiusMap:
         """
         H = form_matrix(self.k)
         g = self.g
-        I = np.eye(self.k + 1, dtype=complex)
+        I = _identity(self.k + 1)
         for _ in range(2):
             E = H @ g.conj().T @ H @ g
             if np.max(np.abs(E - I)) > 0.25:
@@ -255,7 +283,7 @@ class MoebiusMap:
 
 
 def _generic_points(k: int):
-    pts = [infinity(k), origin(k), point(np.zeros(k - 1), 1.0)]
+    pts = [infinity(k), origin(k), axis_point(k, 1.0)]
     for i in range(k - 1):
         e = np.zeros(k - 1, dtype=complex)
         e[i] = 1.0
@@ -270,10 +298,11 @@ def _generic_points(k: int):
 
 def make_translation(z0, t0: float) -> MoebiusMap:
     """Left Heisenberg translation by (z0, t0); fixes infinity."""
-    z0 = np.atleast_1d(np.asarray(z0, dtype=complex)).reshape(-1)
+    if not (type(z0) is np.ndarray and z0.ndim == 1 and z0.dtype is _COMPLEX):
+        z0 = np.atleast_1d(np.asarray(z0, dtype=complex)).reshape(-1)
     k = z0.shape[0] + 1
     zz = complex(np.vdot(z0, z0)).real
-    g = np.eye(k + 1, dtype=complex)
+    g = _identity(k + 1).copy()
     g[0, 1:k] = -np.conj(z0)
     g[0, k] = 0.5 * (-zz + 1j * float(t0))
     g[1:k, k] = z0
@@ -286,9 +315,9 @@ def make_rotation(U) -> MoebiusMap:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise GeometryError("rotation needs a square unitary matrix")
     m = U.shape[0]
-    if m and not np.max(np.abs(U.conj().T @ U - np.eye(m))) <= 1e-10:
+    if m and not np.max(np.abs(U.conj().T @ U - _identity(m))) <= 1e-10:
         raise GeometryError("rotation matrix is not unitary")
-    g = np.eye(m + 2, dtype=complex)
+    g = _identity(m + 2).copy()
     g[1 : m + 1, 1 : m + 1] = U
     return MoebiusMap(g, check=False)
 
@@ -297,17 +326,19 @@ def make_dilation(lam: float, k: int) -> MoebiusMap:
     """Dilation (z, t) -> (lam z, lam^2 t), fixing the origin and infinity."""
     if not 0 < lam < math.inf:
         raise GeometryError(f"dilation coefficient must be positive and finite, got {lam}")
-    d = np.ones(k + 1, dtype=complex)
-    d[0] = lam
-    d[k] = 1.0 / lam
-    return MoebiusMap(np.diag(d), check=False)
+    g = _identity(k + 1).copy()
+    g[0, 0] = lam
+    g[k, k] = 1.0 / lam
+    return MoebiusMap(g, check=False)
 
 
+@lru_cache(maxsize=None)
 def make_inversion(k: int) -> MoebiusMap:
     """Gauge inversion swapping the origin and infinity.
 
     Satisfies d(ip, iq) gauge(p) gauge(q) = d(p, q), the metric-inversion
-    contract at the origin, and maps the gauge-1 sphere to itself.
+    contract at the origin, and maps the gauge-1 sphere to itself.  One
+    shared instance per dimension, with a read-only matrix.
     """
     g = np.zeros((k + 1, k + 1), dtype=complex)
     # Coordinate swap X_0 <-> X_k inverts with an extra factor 2 in the
@@ -316,6 +347,7 @@ def make_inversion(k: int) -> MoebiusMap:
     g[k, 0] = 2.0
     for i in range(1, k):
         g[i, i] = 1.0
+    g.setflags(write=False)
     return MoebiusMap(g, check=False)
 
 
@@ -328,23 +360,27 @@ def chart(omega: BoundaryPoint, o: BoundaryPoint | None = None) -> MoebiusMap:
     """
     if omega.infinite:
         n = MoebiusMap.identity(omega.k)
-    else:
-        q = heis_inv(omega)
-        n = make_inversion(omega.k) @ make_translation(q.z, q.t)
+    else:  # translation by the group inverse of omega
+        n = make_inversion(omega.k) @ make_translation(-omega.z, -omega.t)
     if o is None:
         return n
     o1 = n(o)
     if o1.infinite:
         raise GeometryError("chart anchor collides with omega")
-    q = heis_inv(o1)
-    return make_translation(q.z, q.t) @ n
+    return make_translation(-o1.z, -o1.t) @ n
 
 
+@lru_cache(maxsize=None)
 def axis_reflection(k: int) -> MoebiusMap:
-    """Chart reflection (z, t) -> (-z, t), fixing the vertical chain."""
+    """Chart reflection (z, t) -> (-z, t), fixing the vertical chain.
+
+    One shared instance per dimension, with a read-only matrix.
+    """
     d = np.ones(k + 1, dtype=complex)
     d[1:k] = -1.0
-    return MoebiusMap(np.diag(d), check=False)
+    g = np.diag(d)
+    g.setflags(write=False)
+    return MoebiusMap(g, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +412,7 @@ def distance_pairing_constant(k: int) -> float:
     every k.
     """
     W = lift(infinity(k))
-    anchors = [(origin(k), point(np.zeros(k - 1), 4.0))]
+    anchors = [(origin(k), axis_point(k, 4.0))]
     if k >= 2:
         e1 = np.zeros(k - 1, dtype=complex)
         e1[0] = 1.0

@@ -12,6 +12,7 @@ bounded.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .circles import OFF_CIRCLE_MARGIN, CCircle, RCircle, ccircle_through
 from .ortho import OrthoComplement, canonical_involution
 from .projective import (
     MoebiusMap,
+    _norm,
     make_dilation,
     make_inversion,
     make_rotation,
@@ -51,7 +53,7 @@ def sample_point(cfg: SpaceConfig, rng: np.random.Generator) -> BoundaryPoint:
     m = cfg.k - 1
     if m:
         direction = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        norm = np.linalg.norm(direction)
+        norm = _norm(direction)
         radius = 2.0 * rng.uniform() ** (1.0 / (2 * m))
         z = radius / norm * direction
     else:
@@ -65,7 +67,8 @@ def _point_batch(cfg: SpaceConfig, rng: np.random.Generator, shape: tuple):
     if m:
         raw = rng.standard_normal((*shape, m)) + 1j * rng.standard_normal((*shape, m))
         radii = 2.0 * rng.uniform(size=(*shape, 1)) ** (1.0 / (2 * m))
-        Z = raw / np.linalg.norm(raw, axis=-1, keepdims=True) * radii
+        # the row norms, with the arithmetic of np.linalg.norm(raw, axis=-1)
+        Z = raw / np.sqrt((raw.conj() * raw).real.sum(axis=-1, keepdims=True)) * radii
     else:
         Z = np.zeros((*shape, 0), dtype=complex)
     return Z, rng.uniform(-4.0, 4.0, size=shape)
@@ -77,12 +80,17 @@ def _pairwise_dists(Z, T):
                       Z[..., None, :, :], T[..., None, :])
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(n: int):
+    """Index arrays of the pairs i < j among n points."""
+    return np.triu_indices(n, 1)
+
+
 def sample_distinct_points(cfg: SpaceConfig, rng: np.random.Generator, n: int) -> list:
     for _ in range(200):
         Z, T = _point_batch(cfg, rng, (n,))
         D = _pairwise_dists(Z, T)
-        iu = np.triu_indices(n, 1)
-        if n == 1 or float(D[iu].min()) >= MIN_SEPARATION:
+        if n == 1 or float(D[_upper_pairs(n)].min()) >= MIN_SEPARATION:
             return [BoundaryPoint(z=Z[i], t=float(T[i])) for i in range(n)]
     raise GeometryError("rejection sampling failed to separate points")
 
@@ -99,9 +107,10 @@ def random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     if m == 2:
         # SU(2) from a unit quaternion pair, times a random phase
         v = rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        a, b = v[0] + 1j * v[1], v[2] + 1j * v[3]
-        U = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+        v /= _norm(v)
+        v0, v1, v2, v3 = v.tolist()
+        a, b = v0 + 1j * v1, v2 + 1j * v3
+        U = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
         return U * np.exp(2j * math.pi * rng.uniform())
     A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     Q, R = np.linalg.qr(A)
@@ -120,7 +129,7 @@ def random_moebius(cfg: SpaceConfig, rng: np.random.Generator,
     m = cfg.k - 1
     if m:
         direction = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        z0 = direction / np.linalg.norm(direction) * 1.5 * rng.uniform() ** (1.0 / (2 * m))
+        z0 = direction / _norm(direction) * 1.5 * rng.uniform() ** (1.0 / (2 * m))
     else:
         z0 = np.zeros(0, dtype=complex)
     g = make_translation(z0, rng.uniform(-2.0, 2.0))
@@ -131,13 +140,15 @@ def random_moebius(cfg: SpaceConfig, rng: np.random.Generator,
     return g
 
 
+@lru_cache(maxsize=None)
 def canonical_chain(k: int) -> CCircle:
-    """The vertical axis plus infinity."""
+    """The vertical axis plus infinity; one shared instance per dimension."""
     return CCircle(map=MoebiusMap.identity(k))
 
 
+@lru_cache(maxsize=None)
 def canonical_rcircle(k: int) -> RCircle:
-    """The horizontal first-axis line plus infinity."""
+    """The horizontal first-axis line plus infinity; one shared instance per dimension."""
     if k < 2:
         raise GeometryError("R-circles need complex dimension k >= 2")
     return RCircle(map=MoebiusMap.identity(k))

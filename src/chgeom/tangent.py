@@ -51,7 +51,7 @@ TangentVector = np.ndarray
 
 def inner(u: TangentVector, v: TangentVector) -> float:
     """Real inner product Re<u, v> of the underlying metric."""
-    return float(np.sum(u * np.conj(v)).real)
+    return float((u * v.conj()).sum().real)
 
 
 def J(v: TangentVector) -> TangentVector:
@@ -61,12 +61,13 @@ def J(v: TangentVector) -> TangentVector:
 
 def riem_vec(x: TangentVector, y: TangentVector, z: TangentVector) -> TangentVector:
     """The curvature vector R(x, y) z of the complex space form."""
+    Jx, Jy = J(x), J(y)
     return -(
         inner(y, z) * x
         - inner(x, z) * y
-        + inner(J(y), z) * J(x)
-        - inner(J(x), z) * J(y)
-        - 2.0 * inner(J(x), y) * J(z)
+        + inner(Jy, z) * Jx
+        - inner(Jx, z) * Jy
+        - 2.0 * inner(Jx, y) * J(z)
     )
 
 
@@ -103,10 +104,11 @@ def riem_polarized(x: TangentVector, y: TangentVector, z: TangentVector,
                    w: TangentVector) -> float:
     """The 14-term polarization of the tensor: equals 6 <R(x, y) z, w>."""
     k = sec_k
+    xw, yw, xz, yz = x + w, y + w, x + z, y + z
     return (
-        k(x + w, y + z) - k(y + w, x + z)
-        - k(x + w, y) - k(x + w, z) - k(x, y + z) - k(w, y + z)
-        + k(y + w, x) + k(y + w, z) + k(y, x + z) + k(w, x + z)
+        k(xw, yz) - k(yw, xz)
+        - k(xw, y) - k(xw, z) - k(x, yz) - k(w, yz)
+        + k(yw, x) + k(yw, z) + k(y, xz) + k(w, xz)
         + k(x, z) + k(w, y) - k(y, z) - k(w, x)
     )
 
