@@ -30,8 +30,8 @@ import numpy as np
 
 from .core import (
     BoundaryPoint,
-    axis_point,
     GeometryError,
+    axis_point,
     dist,
     dist_w,
     gauge,
@@ -91,11 +91,11 @@ def _sample_params(n: int, rng, step: float):
     return params
 
 
-# Constructions ask a circle the same questions about the same points many
-# times.  Points are immutable, so a circle memoizes the answers by the
+# Constructions ask a chain the same questions about the same points many
+# times.  Points are immutable, so a chain memoizes the answers by the
 # identity of the points asked about.  An entry refers to those points
 # weakly, so it neither keeps them alive nor mistakes a reused id for
-# them, and a full memo starts over, so circles that live long stay small.
+# them, and a full memo starts over, so chains that live long stay small.
 _MEMO_SIZE = 32
 
 
@@ -198,21 +198,11 @@ class RCircle(_Membership):
         return self.map.k
 
     def point_at(self, s: float) -> BoundaryPoint:
-        """Image of the canonical point (s e_1, 0); s = inf allowed.
-
-        Memoized like :meth:`CCircle.point_at`.
-        """
-        key = ("point", s, math.copysign(1.0, s))
-        p = _recall(self, key)
-        if p is None:
-            if math.isinf(s):
-                p = self.map(infinity(self.k))
-            else:
-                z = np.zeros(self.k - 1, dtype=complex)
-                z[0] = s
-                p = self.map(point(z, 0.0))
-            _remember(self, key, (), p)
-        return p
+        if math.isinf(s):
+            return self.map(infinity(self.k))
+        z = np.zeros(self.k - 1, dtype=complex)
+        z[0] = s
+        return self.map(point(z, 0.0))
 
     def sample_points(self, n: int, rng=None) -> list:
         return [self.point_at(float(s)) for s in _sample_params(n, rng, 0.41)]
@@ -250,6 +240,14 @@ class RCircle(_Membership):
 # ---------------------------------------------------------------------------
 
 def _chain_point_away_from(F: CCircle, avoid: BoundaryPoint) -> BoundaryPoint:
+    if avoid.infinite:
+        # finite anchors are all at distance inf (read as 1e30) and infinite
+        # ones at 0, so the first finite anchor is the answer
+        for tau in _ANCHOR_PARAMS:
+            q = F.point_at(tau)
+            if not q.infinite:
+                return q
+        raise GeometryError("degenerate chain")
     best, best_d = None, -1.0
     for q in F._anchors:
         d = dist(q, avoid)
@@ -276,10 +274,12 @@ def chain_chart(F: CCircle, omega: BoundaryPoint, o: BoundaryPoint | None = None
     if not F.contains(omega):
         raise GeometryError("omega must lie on the chain")
     if o is None:
-        anchor = _chain_point_away_from(F, omega)
+        origin_point = _chain_point_away_from(F, omega)
     elif not F.contains(o):
         raise GeometryError("o must lie on the chain")
-    return _remember(F, key, points, chart(omega, anchor if o is None else o))
+    else:
+        origin_point = o
+    return _remember(F, key, points, chart(omega, origin_point))
 
 
 # ---------------------------------------------------------------------------

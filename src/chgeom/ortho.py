@@ -28,8 +28,8 @@ import numpy as np
 
 from .core import (
     BoundaryPoint,
-    axis_point,
     GeometryError,
+    axis_point,
     chordal_sq,
     gauge,
     point,

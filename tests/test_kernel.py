@@ -12,8 +12,10 @@ import pytest
 
 from chgeom.core import (
     CrossRatioTriple,
+    BoundaryPoint,
     GeometryError,
     SpaceConfig,
+    axis_point,
     crt,
     dist,
     dist_w,
@@ -25,8 +27,17 @@ from chgeom.core import (
     same_point,
 )
 from chgeom.foliation import Polygon, _rline_chart, busemann, horizontal_lift, tau
-from chgeom.projective import _norm, drop, herm, lift
+from chgeom.projective import (
+    FINITE_CONSISTENCY_TOL,
+    INFINITY_SLICE_TOL,
+    NULL_TOL,
+    _norm,
+    drop,
+    herm,
+    lift,
+)
 from chgeom.sampling import (
+    _point_batch,
     canonical_chain,
     canonical_rcircle,
     random_moebius,
@@ -246,3 +257,94 @@ def test_tau_matches_roll_reference(rng, m):
             v = _random_vector(rng, (n, m), 1.0)
             t0 = rng.uniform(-2.0, 2.0)
             assert tau(Polygon(vertices=v), t0) == _tau_reference(v, t0)
+
+
+def _lift_reference(p):
+    k = p.k
+    X = np.zeros(k + 1, dtype=complex)
+    if p.infinite:
+        X[0] = 1.0
+    else:
+        X[0] = 0.5 * (-complex(np.vdot(p.z, p.z)).real + 1j * p.t)
+        X[1:k] = p.z
+        X[k] = 1.0
+    return X / np.linalg.norm(X)
+
+
+def _drop_reference(X):
+    # the array formulation: every test on numpy values, herm for the null test
+    X = np.asarray(X, dtype=complex)
+    k = X.shape[0] - 1
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(X)
+    if not math.isfinite(norm):
+        raise GeometryError("non-finite")
+    if not norm > 0:
+        raise GeometryError("zero")
+    if abs(herm(X, X)) > NULL_TOL * norm * norm:
+        raise GeometryError("not null")
+    if abs(X[k]) <= INFINITY_SLICE_TOL * norm:
+        return infinity(k)
+    w = X[0] / X[k]
+    z = X[1:k] / X[k]
+    zz = complex(np.vdot(z, z)).real
+    if abs(w.real + 0.5 * zz) > FINITE_CONSISTENCY_TOL * (1.0 + abs(w)):
+        return infinity(k)
+    return BoundaryPoint(z=z, t=2.0 * w.imag)
+
+
+def _outcome(f, X):
+    try:
+        p = f(X)
+    except GeometryError:
+        return "raises"
+    return ("inf",) if p.infinite else ([repr(c) for c in p.z.tolist()], repr(float(p.t)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_lift_is_kept_on_the_point_and_matches_reference(rng, k):
+    space = SpaceConfig(k=k)
+    for _ in range(100):
+        p = sample_point(space, rng)
+        X = lift(p)
+        assert np.array_equal(X, _lift_reference(p)) and lift(p) is X
+        assert not X.flags.writeable
+    assert np.array_equal(lift(infinity(k)), _lift_reference(infinity(k)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_drop_matches_reference(rng, k):
+    space = SpaceConfig(k=k)
+    vectors = []
+    for _ in range(200):
+        g = random_moebius(space, rng)
+        X = g.g @ lift(sample_point(space, rng))
+        vectors += [X, (rng.standard_normal() + 1j * rng.standard_normal()) * X]
+        vectors.append(g.g @ lift(infinity(k)))          # an image of infinity
+        E = lift(infinity(k)) + 1e-12 * _random_vector(rng, k + 1, 1.0)
+        vectors.append(E)                                 # blurred infinity
+        vectors.append(_random_vector(rng, k + 1, 1.0))  # not null
+    vectors += [np.zeros(k + 1, dtype=complex), np.full(k + 1, np.nan, dtype=complex),
+                np.full(k + 1, 1e200, dtype=complex)]
+    for X in vectors:
+        assert _outcome(drop, X) == _outcome(_drop_reference, X)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_axis_point_matches_point(k):
+    for t in (0.0, -0.0, 1.5, -2.25):
+        p, q = axis_point(k, t), point(np.zeros(k - 1), t)
+        assert np.array_equal(p.z, q.z) and repr(p.t) == repr(q.t) and not p.infinite
+    for bad in (math.nan, math.inf):
+        with pytest.raises(GeometryError):
+            axis_point(k, bad)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_point_batch_norms_match_linalg_norm(rng, m):
+    state = rng.bit_generator.state
+    Z, _ = _point_batch(SpaceConfig(k=m + 1), rng, (50, 5))
+    rng.bit_generator.state = state
+    raw = rng.standard_normal((50, 5, m)) + 1j * rng.standard_normal((50, 5, m))
+    radii = 2.0 * rng.uniform(size=(50, 5, 1)) ** (1.0 / (2 * m))
+    assert np.array_equal(Z, raw / np.linalg.norm(raw, axis=-1, keepdims=True) * radii)
