@@ -22,7 +22,6 @@ two points.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +30,6 @@ import numpy as np
 from .core import (
     BoundaryPoint,
     GeometryError,
-    axis_point,
     dist,
     dist_w,
     gauge,
@@ -91,30 +89,6 @@ def _sample_params(n: int, rng, step: float):
     return params
 
 
-# Constructions ask a chain the same questions about the same points many
-# times.  Points are immutable, so a chain memoizes the answers by the
-# identity of the points asked about.  An entry refers to those points
-# weakly, so it neither keeps them alive nor mistakes a reused id for
-# them, and a full memo starts over, so chains that live long stay small.
-_MEMO_SIZE = 32
-
-
-def _recall(owner, key: tuple, points: tuple = ()):
-    """The value remembered under ``key`` for these very points, or None."""
-    entry = owner.__dict__.setdefault("_memo", {}).get(key)
-    if entry is not None and all(ref() is p for ref, p in zip(entry[0], points)):
-        return entry[1]
-    return None
-
-
-def _remember(owner, key: tuple, points: tuple, value):
-    memo = owner.__dict__["_memo"]
-    if len(memo) >= _MEMO_SIZE:
-        memo.clear()
-    memo[key] = (tuple(map(weakref.ref, points)), value)
-    return value
-
-
 class _Membership:
     """``contains``, for the shapes that define ``membership_residual``."""
 
@@ -133,17 +107,10 @@ class CCircle(_Membership):
         return self.map.k
 
     def point_at(self, tau: float) -> BoundaryPoint:
-        """Image of the canonical chain point (0, tau); tau = inf allowed.
-
-        Memoized per parameter (and its sign, which a zero carries into
-        the coordinates).
-        """
-        key = ("point", tau, math.copysign(1.0, tau))
-        p = _recall(self, key)
-        if p is None:
-            p = _remember(self, key, (), self.map(
-                infinity(self.k) if math.isinf(tau) else axis_point(self.k, tau)))
-        return p
+        """Image of the canonical chain point (0, tau); tau = inf allowed."""
+        if math.isinf(tau):
+            return self.map(infinity(self.k))
+        return self.map(point(np.zeros(self.k - 1), tau))
 
     def sample_points(self, n: int, rng=None) -> list:
         return [self.point_at(float(t)) for t in _sample_params(n, rng, 0.37)]
@@ -159,10 +126,6 @@ class CCircle(_Membership):
         return Q
 
     @cached_property
-    def _plane_adjoint(self) -> np.ndarray:
-        return self._plane_basis.conj().T
-
-    @cached_property
     def _reflection(self) -> MoebiusMap:
         return self.map @ axis_reflection(self.k) @ self.map.inverse()
 
@@ -176,15 +139,11 @@ class CCircle(_Membership):
 
         Quadratic in the transverse displacement, so machine-exact
         constructions score near 1e-16 while genuinely off-circle points
-        score far above the membership tolerance.  Memoized per point.
+        score far above the membership tolerance.
         """
-        key = ("residual", id(p))
-        r = _recall(self, key, (p,))
-        if r is None:
-            X = lift(p)
-            r = _remember(self, key, (p,), float(
-                _norm(X - self._plane_basis @ (self._plane_adjoint @ X)) ** 2))
-        return r
+        Q = self._plane_basis
+        X = lift(p)
+        return float(_norm(X - Q @ (Q.conj().T @ X)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -240,14 +199,6 @@ class RCircle(_Membership):
 # ---------------------------------------------------------------------------
 
 def _chain_point_away_from(F: CCircle, avoid: BoundaryPoint) -> BoundaryPoint:
-    if avoid.infinite:
-        # finite anchors are all at distance inf (read as 1e30) and infinite
-        # ones at 0, so the first finite anchor is the answer
-        for tau in _ANCHOR_PARAMS:
-            q = F.point_at(tau)
-            if not q.infinite:
-                return q
-        raise GeometryError("degenerate chain")
     best, best_d = None, -1.0
     for q in F._anchors:
         d = dist(q, avoid)
@@ -263,23 +214,15 @@ def chain_chart(F: CCircle, omega: BoundaryPoint, o: BoundaryPoint | None = None
     """Chart sending omega to infinity and F to the vertical axis.
 
     With ``o`` given (a point of F), o goes to the origin; otherwise the
-    axis position is fixed by an arbitrary second point of F.  Memoized
-    per chain and point pair.
+    axis position is fixed by an arbitrary second point of F.
     """
-    points = (omega,) if o is None else (omega, o)
-    key = ("chart", *map(id, points))
-    n = _recall(F, key, points)
-    if n is not None:
-        return n
     if not F.contains(omega):
         raise GeometryError("omega must lie on the chain")
     if o is None:
-        origin_point = _chain_point_away_from(F, omega)
+        o = _chain_point_away_from(F, omega)
     elif not F.contains(o):
         raise GeometryError("o must lie on the chain")
-    else:
-        origin_point = o
-    return _remember(F, key, points, chart(omega, origin_point))
+    return chart(omega, o)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +302,7 @@ def eta(F: CCircle, u: BoundaryPoint, omega: BoundaryPoint) -> BoundaryPoint:
     n, u1 = _hit_chart(F, omega, u)
     # the chart axis sits at z = 0, so the horizontal line through u1
     # toward the axis lands on the fiber coordinate (0, t_u)
-    return n.inverse()(axis_point(F.k, u1.t))
+    return n.inverse()(point(np.zeros(F.k - 1), u1.t))
 
 
 def reflection_in_ccircle(F: CCircle) -> MoebiusMap:

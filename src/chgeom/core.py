@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -32,7 +32,6 @@ __all__ = [
     "point",
     "origin",
     "infinity",
-    "axis_point",
     "heis_mul",
     "heis_inv",
     "gauge",
@@ -81,31 +80,19 @@ class SpaceConfig:
             raise GeometryError(f"complex dimension must be >= 1, got {self.k}")
 
 
-_setattr = object.__setattr__
-
-
-@dataclass(frozen=True, eq=False, init=False, slots=True, weakref_slot=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryPoint:
     """A boundary point: finite Heisenberg coordinates (z, t) or infinity.
 
     ``z`` always has shape (k-1,), also for the infinite point, so every
     point knows the ambient dimension.  Use :func:`same_point` for
     tolerance-aware comparison; componentwise equality is meaningless
-    under the gauge metric.  ``_lift`` holds the unit null lift once
-    :func:`chgeom.projective.lift` has computed it.
+    under the gauge metric.
     """
 
     z: np.ndarray
     t: float
     infinite: bool = False
-    _lift: np.ndarray | None = field(default=None, repr=False)
-
-    def __init__(self, z: np.ndarray, t: float, infinite: bool = False):
-        # frozen: each field is written once, here, past the frozen __setattr__
-        _setattr(self, "z", z)
-        _setattr(self, "t", t)
-        _setattr(self, "infinite", infinite)
-        _setattr(self, "_lift", None)
 
     @property
     def k(self) -> int:
@@ -128,7 +115,7 @@ def point(z, t: float) -> BoundaryPoint:
     t = float(t)
     if not (math.isfinite(t) and all(map(cmath.isfinite, z.tolist()))):
         raise GeometryError("finite points need finite coordinates")
-    return BoundaryPoint(z, t)
+    return BoundaryPoint(z=z, t=t)
 
 
 def _frozen_zeros(n: int) -> np.ndarray:
@@ -147,14 +134,6 @@ def origin(k: int) -> BoundaryPoint:
 def infinity(k: int) -> BoundaryPoint:
     """The infinite point; one shared instance per dimension."""
     return BoundaryPoint(z=_frozen_zeros(k - 1), t=0.0, infinite=True)
-
-
-def axis_point(k: int, t: float) -> BoundaryPoint:
-    """The finite point (0, t) of the vertical axis."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise GeometryError("finite points need finite coordinates")
-    return BoundaryPoint(origin(k).z, t)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +165,10 @@ def gauge(p: BoundaryPoint) -> float:
 
 def dist(p: BoundaryPoint, q: BoundaryPoint) -> float:
     """Left-invariant gauge distance, with d(p, inf) = inf and d(inf, inf) = 0."""
+    if p.infinite and q.infinite:
+        return 0.0
     if p.infinite or q.infinite:
-        return 0.0 if p.infinite and q.infinite else math.inf
+        return math.inf
     dz = q.z - p.z
     dt = q.t - p.t + 2.0 * complex(np.vdot(p.z, q.z)).imag
     zz = complex(np.vdot(dz, dz)).real

@@ -47,6 +47,9 @@ REPORT_SCHEMA = "chgeom-report/1"
 # --trials value at which every property runs its reference trial count
 REFERENCE_TRIALS = 10000
 
+# how a report's ``error`` names a trial that returned NaN or infinity
+_NON_FINITE = "non-finite residual"
+
 
 class UsageError(Exception):
     """Bad suite name or configuration; maps to exit code 2."""
@@ -176,7 +179,7 @@ def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig,
             worst_i, error = i, f"{type(exc).__name__}: {exc}"
             break
         if not math.isfinite(r):  # fails like a raising trial; r > worst misses NaN
-            worst_i, error = i, f"non-finite residual {r}"
+            worst_i, error = i, f"{_NON_FINITE} {r}"
             break
         if r > worst:
             worst, worst_i = r, i
@@ -222,8 +225,8 @@ def replay(spec: str, k: int, tol: float | None = None) -> int:
         if p.skipped:
             print(f"  [SKIP] {p.name} (needs k >= {prop.min_k})")
             continue
-        if p.error is not None:
-            detail = f"raised {p.error}"
+        if p.error is not None:  # nothing raised for a non-finite residual
+            detail = p.error if p.error.startswith(_NON_FINITE) else f"raised {p.error}"
         else:
             detail = f"residual={p.max_residual:9.3e}  tol={p.tol:7.1e}"
         failures += not p.passed

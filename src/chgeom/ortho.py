@@ -29,7 +29,6 @@ import numpy as np
 from .core import (
     BoundaryPoint,
     GeometryError,
-    axis_point,
     chordal_sq,
     gauge,
     point,
@@ -55,7 +54,6 @@ __all__ = [
     "StandardCircle",
     "canonical_involution",
     "ortho_membership_residuals",
-    "ortho_three_point_residual",
     "ortho_contains",
     "canonical_fiber",
     "are_orthogonal",
@@ -159,40 +157,34 @@ class OrthoComplement:
         return out
 
     @cached_property
-    def _determining_charts(self):
-        """Chain charts at three determining points, with their eta targets."""
+    def _membership_data(self):
+        """Determining charts with their eta targets, and the two spheres."""
         charts = []
         for w in self.F.sample_points(3):
             n = chain_chart(self.F, w)
             charts.append((n, n.inverse(), self.eta(w)))
-        return charts
-
-    @cached_property
-    def _spheres(self):
-        """The two spheres whose intersection is the complement."""
         c, rho = self.chart_and_radius
         cinv = c.inverse()
-        x = cinv(axis_point(self.k, rho * rho))
-        y = cinv(axis_point(self.k, -rho * rho))
-        o = cinv(axis_point(self.k, 0.0))
-        return (
+        m = self.k - 1
+        x = cinv(point(np.zeros(m), rho * rho))
+        y = cinv(point(np.zeros(m), -rho * rho))
+        o = cinv(point(np.zeros(m), 0.0))
+        spheres = (
             sphere_between(o, self.F.point_at(math.inf), x),  # covered by R-circles through x, y
             sphere_between(x, y, o),                          # through o, omega between x and y
         )
+        return charts, spheres
 
 
-def ortho_three_point_residual(A: OrthoComplement, u: BoundaryPoint) -> float:
-    """Membership residual of u in A at three determining points of F.
-
-    Compares the involution induced by u with eta at those points; the
-    first value of :func:`ortho_membership_residuals`.
-    """
+def _three_point_residual(A: OrthoComplement, u: BoundaryPoint) -> float:
     if A.F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
         raise GeometryError("membership in the complement needs a point off the chain")
+    charts, _ = A._membership_data
+    m = A.k - 1
     r3 = 0.0
-    for n, ninv, target in A._determining_charts:
+    for n, ninv, target in charts:
         u1 = n(u)
-        hit = ninv(axis_point(A.k, u1.t))
+        hit = ninv(point(np.zeros(m), u1.t))
         r3 = max(r3, chordal_sq(hit, target))
     return r3
 
@@ -208,14 +200,15 @@ def ortho_membership_residuals(A: OrthoComplement, u: BoundaryPoint):
     through o.  The symmetric intercepts of the canonical chart realize
     such a quadruple exactly.
     """
-    r3 = ortho_three_point_residual(A, u)
-    return r3, max(s.membership_residual(u) for s in A._spheres)
+    r3 = _three_point_residual(A, u)
+    _, spheres = A._membership_data
+    return r3, max(s.membership_residual(u) for s in spheres)
 
 
 def ortho_contains(A: OrthoComplement, u: BoundaryPoint,
                    tol: float = MEMBERSHIP_TOL) -> bool:
     """Membership of u in A by the three-point residual alone."""
-    return ortho_three_point_residual(A, u) <= tol
+    return _three_point_residual(A, u) <= tol
 
 
 def canonical_fiber(A: OrthoComplement, u: BoundaryPoint) -> CCircle:
@@ -349,9 +342,9 @@ def join_decompose(F: CCircle, eta: MoebiusMap, F_prime, u: BoundaryPoint,
 
     X, Y, _ = intercept_distances(a, b, rho)
     s = math.copysign(X * X, u1.t)
-    x1 = axis_point(F.k, s)
-    y1 = axis_point(F.k, -rho ** 4 / s)
-    w1 = axis_point(F.k, 0.5 * (s - rho ** 4 / s))
+    x1 = point(np.zeros(F.k - 1), s)
+    y1 = point(np.zeros(F.k - 1), -rho ** 4 / s)
+    w1 = point(np.zeros(F.k - 1), 0.5 * (s - rho ** 4 / s))
     r = math.sqrt(0.5 * (X * X + Y * Y))
     x = cinv(x1)
     sigma = rcircle_through_hitting(F, x, u)

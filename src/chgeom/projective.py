@@ -45,7 +45,6 @@ from .core import (
     _COMPLEX,
     BoundaryPoint,
     GeometryError,
-    axis_point,
     chordal_sq,
     dist,
     infinity,
@@ -108,13 +107,12 @@ def _identity(n: int) -> np.ndarray:
 
 
 def _norm(X: np.ndarray) -> float:
-    """Euclidean norm of a 1-d complex vector.
+    """Euclidean norm of a 1-d complex or real vector.
 
     The arithmetic of ``np.linalg.norm`` on such a vector, bit for bit,
     without its dispatch.
     """
-    re, im = X.real, X.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(X.real.dot(X.real) + X.imag.dot(X.imag))
 
 
 def herm(X: np.ndarray, Y: np.ndarray) -> complex:
@@ -137,15 +135,16 @@ def _affine_lift(p: BoundaryPoint) -> np.ndarray:
 def lift(p: BoundaryPoint) -> NullVector:
     """Unit-norm null vector representing ``p``; lift of infinity is e_0.
 
-    Points are immutable, so the lift is computed once per point and
-    kept on it; the returned array is read-only.
+    Points are immutable, so the lift is computed once per point and kept
+    in its instance dict, as ``functools.cached_property`` would; the
+    returned array is read-only.
     """
-    X = p._lift
+    X = p.__dict__.get("_lift")
     if X is None:
         X = _affine_lift(p)
         X = X / _norm(X)
         X.flags.writeable = False
-        object.__setattr__(p, "_lift", X)  # the point's cache slot
+        p.__dict__["_lift"] = X
     return X
 
 
@@ -189,7 +188,7 @@ def drop(X: NullVector) -> BoundaryPoint:
     if abs(w.real + 0.5 * zz) > FINITE_CONSISTENCY_TOL * (1.0 + abs(w)):
         return infinity(k)
     # coordinates are finite by the checks above; skip point() validation
-    return BoundaryPoint(q[1:], 2.0 * w.imag)
+    return BoundaryPoint(z=q[1:], t=2.0 * w.imag)
 
 
 class MoebiusMap:
@@ -283,7 +282,7 @@ class MoebiusMap:
 
 
 def _generic_points(k: int):
-    pts = [infinity(k), origin(k), axis_point(k, 1.0)]
+    pts = [infinity(k), origin(k), point(np.zeros(k - 1), 1.0)]
     for i in range(k - 1):
         e = np.zeros(k - 1, dtype=complex)
         e[i] = 1.0
@@ -370,17 +369,11 @@ def chart(omega: BoundaryPoint, o: BoundaryPoint | None = None) -> MoebiusMap:
     return make_translation(-o1.z, -o1.t) @ n
 
 
-@lru_cache(maxsize=None)
 def axis_reflection(k: int) -> MoebiusMap:
-    """Chart reflection (z, t) -> (-z, t), fixing the vertical chain.
-
-    One shared instance per dimension, with a read-only matrix.
-    """
+    """Chart reflection (z, t) -> (-z, t), fixing the vertical chain."""
     d = np.ones(k + 1, dtype=complex)
     d[1:k] = -1.0
-    g = np.diag(d)
-    g.setflags(write=False)
-    return MoebiusMap(g, check=False)
+    return MoebiusMap(np.diag(d), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +405,7 @@ def distance_pairing_constant(k: int) -> float:
     every k.
     """
     W = lift(infinity(k))
-    anchors = [(origin(k), axis_point(k, 4.0))]
+    anchors = [(origin(k), point(np.zeros(k - 1), 4.0))]
     if k >= 2:
         e1 = np.zeros(k - 1, dtype=complex)
         e1[0] = 1.0

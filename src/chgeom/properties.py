@@ -21,7 +21,6 @@ from . import tangent as tg
 from .core import (
     CrossRatioTriple,
     SpaceConfig,
-    axis_point,
     chordal_sq,
     crt,
     dist,
@@ -55,7 +54,6 @@ from .ortho import (
     intercept_distances,
     join_decompose,
     ortho_membership_residuals,
-    ortho_three_point_residual,
     positive_root,
     standard_rcircle,
 )
@@ -214,12 +212,12 @@ def p_distance_formula(cfg, rng):
     g = random_moebius(cfg, rng)
     F0 = canonical_chain(cfg.k)
     omega = g(infinity(cfg.k))
-    o0 = axis_point(cfg.k, rng.uniform(-4.0, 4.0))
+    o0 = point(np.zeros(cfg.k - 1), rng.uniform(-4.0, 4.0))
     u0 = _point_off_chain(cfg, rng, F0)
     o, u = g(o0), g(u0)
     # the projection is equivariant, so its chart value transports; every
     # twentieth trial also runs the full projection machinery against it
-    z = g(axis_point(cfg.k, u0.t))
+    z = g(point(np.zeros(cfg.k - 1), u0.t))
     worst = 0.0
     if rng.uniform() < 0.05:
         worst = chordal_sq(z, mu(F0.transported(g), omega, u))
@@ -292,7 +290,7 @@ def p_oc_harmonicity(cfg, rng):
     go, gom, gu, gv = (g(p) for p in (origin(cfg.k), infinity(cfg.k), u, v))
     worst = harmonicity_residual(go, gu, gom, gv)  # premise on the circle
     for tau in (-1.3, 0.4, 2.0, math.inf):
-        w = infinity(cfg.k) if math.isinf(tau) else axis_point(cfg.k, tau)
+        w = infinity(cfg.k) if math.isinf(tau) else point(np.zeros(cfg.k - 1), tau)
         worst = max(worst, harmonicity_residual(g(w), gu, go, gv))
     return worst
 
@@ -300,7 +298,7 @@ def p_oc_harmonicity(cfg, rng):
 def p_or_harmonicity(cfg, rng):
     g, direction = _orthogonal_config(cfg, rng)
     tau = math.exp(rng.uniform(-1.0, 1.0))
-    x, y = axis_point(cfg.k, tau), axis_point(cfg.k, -tau)
+    x, y = point(np.zeros(cfg.k - 1), tau), point(np.zeros(cfg.k - 1), -tau)
     gx, gy, go, gom = (g(p) for p in (x, y, origin(cfg.k), infinity(cfg.k)))
     worst = harmonicity_residual(go, gx, gom, gy)
     for lam in (-2.0, -0.7, 0.5, 1.8):
@@ -415,8 +413,8 @@ def p_filling_sphere(cfg, rng):
     c = chain_chart(F, omega_p, omega)
     cinv = c.inverse()
     r2 = math.exp(rng.uniform(-0.5, 0.5))
-    x = cinv(axis_point(cfg.k, r2))
-    x_opp = cinv(axis_point(cfg.k, -r2))
+    x = cinv(point(np.zeros(cfg.k - 1), r2))
+    x_opp = cinv(point(np.zeros(cfg.k - 1), -r2))
     S = sphere_between(omega, omega_p, x)
     worst = S.membership_residual(x_opp)
     for u in S.sample_points(2, rng):
@@ -779,7 +777,7 @@ def p_canonical_fiber(cfg, rng):
     worst = 0.0
     for tau in _distinct_taus(rng, 5):
         p = fib.point_at(float(tau))
-        r3 = ortho_three_point_residual(A, p)
+        r3, _ = ortho_membership_residuals(A, p)
         worst = max(worst, r3)
     phi = reflection_in_ccircle(A.F)
     for tau in (0.4, -1.3, math.inf):
@@ -822,14 +820,14 @@ def p_fixset_intersection(cfg, rng):
         e2[1] = 1.0
         u = g(point(e2, 0.0))
         worst = max(worst, fixset_psi_residual(F, Fp, u))
-        rA = ortho_three_point_residual(A, u)
-        rAp = ortho_three_point_residual(Ap, u)
+        rA, _ = ortho_membership_residuals(A, u)
+        rAp, _ = ortho_membership_residuals(Ap, u)
         worst = max(worst, rA, rAp)
     u_off = sample_point(cfg, rng)
     if min(F.membership_residual(u_off), Fp.membership_residual(u_off)) > 1e-3:
         fixed = fixset_psi_residual(F, Fp, u_off) < OFF_CIRCLE_MARGIN
-        rA = ortho_three_point_residual(A, u_off)
-        rAp = ortho_three_point_residual(Ap, u_off)
+        rA, _ = ortho_membership_residuals(A, u_off)
+        rAp, _ = ortho_membership_residuals(Ap, u_off)
         both_in = max(rA, rAp) < OFF_CIRCLE_MARGIN
         if fixed != both_in:
             worst = max(worst, 1.0)
@@ -850,7 +848,7 @@ def p_nonfiber_chain(cfg, rng):
     worst = 0.0
     for tau in (-1.0, 0.0, 1.0, math.inf):
         p = C.point_at(tau)
-        r3 = ortho_three_point_residual(A, p)
+        r3, _ = ortho_membership_residuals(A, p)
         worst = max(worst, r3)  # the chain lies inside the complement
     # but it is not a fiber: conjugate poles of its points leave it
     for tau in (0.0, 1.0):
@@ -868,7 +866,7 @@ def p_fiber_involution(cfg, rng):
     worst = 0.0
     a = A.sample_points(1, rng)[0]
     image = phi_fib(a)
-    r3 = ortho_three_point_residual(A, image)
+    r3, _ = ortho_membership_residuals(A, image)
     worst = max(worst, r3)
     if fib.membership_residual(a) > 1e-3:
         fa = canonical_fiber(A, a)

@@ -108,9 +108,8 @@ def random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
         # SU(2) from a unit quaternion pair, times a random phase
         v = rng.standard_normal(4)
         v /= _norm(v)
-        v0, v1, v2, v3 = v.tolist()
-        a, b = v0 + 1j * v1, v2 + 1j * v3
-        U = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+        a, b = v[0] + 1j * v[1], v[2] + 1j * v[3]
+        U = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
         return U * np.exp(2j * math.pi * rng.uniform())
     A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     Q, R = np.linalg.qr(A)
@@ -146,9 +145,8 @@ def canonical_chain(k: int) -> CCircle:
     return CCircle(map=MoebiusMap.identity(k))
 
 
-@lru_cache(maxsize=None)
 def canonical_rcircle(k: int) -> RCircle:
-    """The horizontal first-axis line plus infinity; one shared instance per dimension."""
+    """The horizontal first-axis line plus infinity."""
     if k < 2:
         raise GeometryError("R-circles need complex dimension k >= 2")
     return RCircle(map=MoebiusMap.identity(k))

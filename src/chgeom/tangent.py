@@ -104,11 +104,10 @@ def riem_polarized(x: TangentVector, y: TangentVector, z: TangentVector,
                    w: TangentVector) -> float:
     """The 14-term polarization of the tensor: equals 6 <R(x, y) z, w>."""
     k = sec_k
-    xw, yw, xz, yz = x + w, y + w, x + z, y + z
     return (
-        k(xw, yz) - k(yw, xz)
-        - k(xw, y) - k(xw, z) - k(x, yz) - k(w, yz)
-        + k(yw, x) + k(yw, z) + k(y, xz) + k(w, xz)
+        k(x + w, y + z) - k(y + w, x + z)
+        - k(x + w, y) - k(x + w, z) - k(x, y + z) - k(w, y + z)
+        + k(y + w, x) + k(y + w, z) + k(y, x + z) + k(w, x + z)
         + k(x, z) + k(w, y) - k(y, z) - k(w, x)
     )
 

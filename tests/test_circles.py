@@ -19,9 +19,7 @@ from chgeom.core import (
 )
 from chgeom.circles import (
     MEMBERSHIP_TOL,
-    CCircle,
     _hit_chart,
-    _recall,
     ccircle_through,
     chain_chart,
     circle_pointset_residual,
@@ -162,9 +160,8 @@ def test_circle_constructions_map_no_extra_points(space, rng, monkeypatch):
     _hit_chart(F, omega, u)
     assert len(calls) == 2
     calls.clear()
-    # the chain chart at omega is memoized on F: only u is mapped again
     rcircle_through_hitting(F, omega, u)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_mu_retraction_and_distance_formula(space, rng):
@@ -313,21 +310,3 @@ def test_circle_k1_degenerate():
     ts = [p.t for p in S.sample_points(8, np.random.default_rng(0))]
     assert all(abs(abs(t) - 1.0) < 1e-12 for t in ts)
     assert min(ts) < 0.0 < max(ts)
-
-
-def test_chain_memo_answers_match_a_fresh_chain(space, rng):
-    F = sample_chain(space, rng)
-    omega, o = F.point_at(0.3), F.point_at(-1.1)
-    u = off_chain_point(space, rng, F)
-    n = chain_chart(F, omega)
-    assert chain_chart(F, omega) is n and chain_chart(F, omega, o) is not n
-    for Fresh in (CCircle(map=F.map), CCircle(map=F.map)):
-        assert np.array_equal(chain_chart(Fresh, omega).g, n.g)
-        assert np.array_equal(chain_chart(Fresh, omega, o).g, chain_chart(F, omega, o).g)
-        assert Fresh.membership_residual(u) == F.membership_residual(u)
-        assert Fresh.point_at(-0.0).t == F.point_at(-0.0).t
-    assert F.point_at(0.3) is omega
-    # an entry answers only for the very points it was computed for
-    twin = point(u.z, u.t)
-    assert _recall(F, ("residual", id(u)), (twin,)) is None
-    assert _recall(F, ("residual", id(u)), (u,)) == F.membership_residual(u)

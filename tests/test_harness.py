@@ -262,6 +262,30 @@ def test_nan_residual_fails_its_property(capsys):
         assert f"non-finite residual {bad}" in replayed
 
 
+def test_replay_says_raised_only_for_exceptions(capsys):
+    # a trial that returns NaN or infinity raised nothing; one that raises did
+    i = next(i for i, p in enumerate(REGISTRY) if p.name == "sectional_bounds")
+    saved = REGISTRY[i]
+
+    def boom(cfg, rng):
+        raise GeometryError("injected")
+
+    lines = {}
+    for label, fn in (("nan", lambda cfg, rng: math.nan), ("inf", lambda cfg, rng: math.inf),
+                      ("boom", boom)):
+        REGISTRY[i] = replace(saved, fn=fn)
+        try:
+            assert replay("holonomy:5:0", k=2) == 1
+        finally:
+            REGISTRY[i] = saved
+        out = capsys.readouterr().out.splitlines()
+        lines[label] = next(line for line in out if "sectional_bounds" in line)
+    name = f"{'sectional_bounds':<36}"
+    assert lines["nan"] == f"  [FAIL] {name} non-finite residual nan"
+    assert lines["inf"] == f"  [FAIL] {name} non-finite residual inf"
+    assert lines["boom"] == f"  [FAIL] {name} raised GeometryError: injected"
+
+
 @pytest.mark.parametrize("seed, name", [
     (31, "standard_rcircle_harmonic"),
     (51, "ortho_membership_tests_agree"),

@@ -15,7 +15,6 @@ from chgeom.core import (
     BoundaryPoint,
     GeometryError,
     SpaceConfig,
-    axis_point,
     crt,
     dist,
     dist_w,
@@ -35,6 +34,7 @@ from chgeom.projective import (
     drop,
     herm,
     lift,
+    make_inversion,
 )
 from chgeom.sampling import (
     _point_batch,
@@ -110,6 +110,9 @@ def test_norm_matches_linalg_norm(rng, n):
         for _ in range(200):
             X = _random_vector(rng, n, scale)
             assert _norm(X) == np.linalg.norm(X)
+            # the samplers also normalise fresh real vectors with it
+            x = X.real.copy()
+            assert _norm(x) == np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -330,16 +333,6 @@ def test_drop_matches_reference(rng, k):
         assert _outcome(drop, X) == _outcome(_drop_reference, X)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_axis_point_matches_point(k):
-    for t in (0.0, -0.0, 1.5, -2.25):
-        p, q = axis_point(k, t), point(np.zeros(k - 1), t)
-        assert np.array_equal(p.z, q.z) and repr(p.t) == repr(q.t) and not p.infinite
-    for bad in (math.nan, math.inf):
-        with pytest.raises(GeometryError):
-            axis_point(k, bad)
-
-
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_point_batch_norms_match_linalg_norm(rng, m):
     state = rng.bit_generator.state
@@ -348,3 +341,14 @@ def test_point_batch_norms_match_linalg_norm(rng, m):
     raw = rng.standard_normal((50, 5, m)) + 1j * rng.standard_normal((50, 5, m))
     radii = 2.0 * rng.uniform(size=(50, 5, 1)) ** (1.0 / (2 * m))
     assert np.array_equal(Z, raw / np.linalg.norm(raw, axis=-1, keepdims=True) * radii)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_constant_instances_are_shared_and_read_only(k):
+    assert origin(k) is origin(k) and infinity(k) is infinity(k)
+    assert canonical_chain(k) is canonical_chain(k)
+    assert make_inversion(k) is make_inversion(k)
+    for a in (origin(k).z, infinity(k).z, make_inversion(k).g):
+        assert not a.flags.writeable
+    # the shared points keep one lift
+    assert lift(infinity(k)) is lift(infinity(k))
