@@ -49,7 +49,7 @@ print(f"  axis orthogonal to a tilted chain? {are_orthogonal(F, tilted)}")
 
 print("\n== decomposing a point onto a standard R-circle ==")
 u = point([0.5], 0.5)
-dec = join_decompose(F, eta, A, u, inf)
+dec = join_decompose(A, u, inf)
 print(f"  data: a = {dec.a:.4f}, b = {dec.b:.4f}, rho = {dec.rho:.4f}")
 print(f"  chain intercepts at distances X = {dec.xo:.6f}, Y = {dec.yo:.6f}")
 print(f"  x = {dec.x}")
@@ -59,7 +59,7 @@ print(f"  |wu| = {dist_w(inf, dec.w, u):.6f}  (equals r)")
 print(f"  u on the standard circle: {dec.sigma.membership_residual(u):.1e}")
 
 print("\n== a standard circle from its subspace intercept ==")
-std = standard_rcircle(F, A, point([1], 0.0), inf)
+std = standard_rcircle(A, point([1], 0.0), inf)
 print(f"  through u = infinity and x = e1: hits the chain at {std.v}, "
       f"carries y = {std.y}")
 

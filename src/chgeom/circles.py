@@ -78,11 +78,8 @@ _DEFAULT_PARAMS = (0.0, 1.0, -1.0, 0.5, 2.0, -2.0, math.inf)
 _ANCHOR_PARAMS = (math.inf, 0.0, 1.0, -1.0, 3.0)
 
 
-def _sample_params(n: int, rng, step: float):
-    """Parameters for ``sample_points``: random with ``rng``, else the defaults
-    followed by multiples of ``step``."""
-    if rng is not None:
-        return np.tan(rng.uniform(-0.47 * math.pi, 0.47 * math.pi, size=n)) * 2.0
+def _sample_params(n: int, step: float):
+    """The default parameters, followed by multiples of ``step``."""
     params = list(_DEFAULT_PARAMS)[:n]
     while len(params) < n:
         params.append(step * (len(params) - 2))
@@ -112,8 +109,8 @@ class CCircle(_Membership):
             return self.map(infinity(self.k))
         return self.map(point(np.zeros(self.k - 1), tau))
 
-    def sample_points(self, n: int, rng=None) -> list:
-        return [self.point_at(float(t)) for t in _sample_params(n, rng, 0.37)]
+    def sample_points(self, n: int) -> list:
+        return [self.point_at(t) for t in _sample_params(n, 0.37)]
 
     def transported(self, g: MoebiusMap) -> "CCircle":
         """The image chain g(F)."""
@@ -163,8 +160,8 @@ class RCircle(_Membership):
         z[0] = s
         return self.map(point(z, 0.0))
 
-    def sample_points(self, n: int, rng=None) -> list:
-        return [self.point_at(float(s)) for s in _sample_params(n, rng, 0.41)]
+    def sample_points(self, n: int) -> list:
+        return [self.point_at(s) for s in _sample_params(n, 0.41)]
 
     def transported(self, g: MoebiusMap) -> "RCircle":
         """The image R-circle g(sigma)."""

@@ -268,25 +268,31 @@ def intercept_distances(a: float, b: float, rho: float):
     """
     if not (0 < a < math.inf and 0 < b < math.inf and 0 < rho < math.inf):
         raise GeometryError("intercept data must be positive and finite")
-    cc = (a ** 4 + b ** 4 - rho ** 4) / (b * b)
-    root = math.hypot(cc, 2.0 * rho * rho)
-    if cc >= 0.0:
-        Ysq = 2.0 * rho ** 4 / (cc + root)
-    else:
-        Ysq = 0.5 * (root - cc)
-    Y = math.sqrt(Ysq)
-    return rho * rho / Y, Y, cc
+    try:
+        cc = (a ** 4 + b ** 4 - rho ** 4) / (b * b)
+        root = math.hypot(cc, 2.0 * rho * rho)
+        if cc >= 0.0:
+            Ysq = 2.0 * rho ** 4 / (cc + root)
+        else:
+            Ysq = 0.5 * (root - cc)
+        Y = math.sqrt(Ysq)
+        X = rho * rho / Y
+    except (OverflowError, ZeroDivisionError):  # finite data out of range
+        X = Y = math.nan
+    if not (0 < X < math.inf and 0 < Y < math.inf):
+        raise GeometryError("intercept data out of floating-point range")
+    return X, Y, cc
 
 
 @dataclass(frozen=True)
 class JoinDecomposition:
-    """A point decomposed onto a standard R-circle of the join of F and F'.
+    """A point decomposed onto a standard R-circle of the join of F and A.
 
-    ``x`` and ``y = eta(x)`` are the chain intercepts, ``w`` their
-    midpoint on the chain, ``r`` the sphere radius with |w u| = r, and
-    ``sigma`` the standard circle through x, u, y.  ``xo`` and ``yo``
-    solve the product and squared-difference equations for the data
-    (a, b, rho).
+    F is a chain and A its orthogonal complement.  ``x`` and
+    ``y = eta(x)`` are the chain intercepts, ``w`` their midpoint on the
+    chain, ``r`` the sphere radius with |w u| = r, and ``sigma`` the
+    standard circle through x, u, y.  ``xo`` and ``yo`` solve the product
+    and squared-difference equations for the data (a, b, rho).
     """
 
     x: BoundaryPoint
@@ -301,31 +307,32 @@ class JoinDecomposition:
     yo: float
 
 
-def _radius_of(F_prime, chart: MoebiusMap) -> float:
-    """Radius of F' in the chart, asserted constant over 10 sample points."""
-    pts = F_prime.sample_points(10, np.random.default_rng(0))
+def _radius_of(A: OrthoComplement, chart: MoebiusMap) -> float:
+    """Radius of A in the chart, asserted constant over 10 sample points."""
+    pts = A.sample_points(10, np.random.default_rng(0))
     radii = np.array([gauge(chart(p)) for p in pts])
     mean = float(np.mean(radii))
     if float(np.max(np.abs(radii - mean))) > 1e-10 * max(mean, 1.0):
-        raise GeometryError("F' does not sit at constant distance in the chart")
+        raise GeometryError("the complement is not at constant distance in the chart")
     return mean
 
 
-def join_decompose(F: CCircle, eta: MoebiusMap, F_prime, u: BoundaryPoint,
+def join_decompose(A: OrthoComplement, u: BoundaryPoint,
                    omega: BoundaryPoint) -> JoinDecomposition:
-    """Decompose u onto a standard R-circle of the join of F and F'.
+    """Decompose u onto a standard R-circle of the join of A.F and A.
 
-    ``F_prime`` only enters through its radius in the chart with omega
-    infinite and o = eta(omega) at the origin; it may be a chain or an
-    orthogonal complement.  With z the projection of u to F, a = |z u|,
-    b = |z o| and c = (a^4 + b^4 - rho^4)/b^2, the intercept distances
-    are Y^2 = (-c + sqrt(c^2 + 4 rho^4))/2 and X = rho^2 / Y.
+    The complement enters through its involution, which pairs omega with
+    o = A.eta(omega), and through its radius rho in the chart with omega
+    infinite and o at the origin.  With z the projection of u to F = A.F,
+    a = |z u|, b = |z o| and c = (a^4 + b^4 - rho^4)/b^2, the intercept
+    distances are Y^2 = (-c + sqrt(c^2 + 4 rho^4))/2 and X = rho^2 / Y.
     """
+    F = A.F
     if F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
         raise GeometryError("join decomposition needs a point off the chain")
-    o = eta(omega)
+    o = A.eta(omega)
     c = chain_chart(F, omega, o)  # checks that omega and o lie on F
-    rho = _radius_of(F_prime, c)
+    rho = _radius_of(A, c)
     u1 = c(u)
     a = float(np.sum((u1.z * np.conj(u1.z)).real)) ** 0.5
     b = abs(u1.t) ** 0.5
@@ -396,25 +403,21 @@ class StandardCircle:
     y: BoundaryPoint
 
 
-def standard_rcircle(F: CCircle, F_prime, x: BoundaryPoint,
+def standard_rcircle(A: OrthoComplement, x: BoundaryPoint,
                      u: BoundaryPoint) -> StandardCircle:
-    """The standard R-circle through u (on F) and x (off F).
+    """The standard R-circle through u (on F = A.F) and x (on A).
 
-    It meets F again at v, the image of u under the involution of F
-    induced by x (for x on a complement (F, eta) this is eta(u)), and
-    carries y, the reflection of x across F, with (u, x, v, y) in
-    harmonic position.  Distinct standard circles meet only inside F
-    union F'.
+    It meets F again at v = A.eta(u), the image of u under the involution
+    of F induced by x, and carries y, the reflection of x across F, with
+    (u, x, v, y) in harmonic position.  Distinct standard circles meet
+    only inside F union A.
     """
+    F = A.F
     if F.membership_residual(x) <= OFF_CIRCLE_MARGIN:
         raise GeometryError("x must lie off the chain")
     if not F.contains(u):
         raise GeometryError("u must lie on the chain")
-    if isinstance(F_prime, OrthoComplement):
-        on_subspace = ortho_contains(F_prime, x, tol=1e-6)
-    else:
-        on_subspace = F_prime is None or F_prime.contains(x, tol=1e-6)
-    if not on_subspace:
+    if not ortho_contains(A, x, tol=1e-6):
         raise GeometryError("x must lie on the orthogonal subspace")
     sigma = rcircle_through_hitting(F, u, x)
     v = chain_eta(F, x, u)

@@ -323,11 +323,13 @@ def make_rotation(U) -> MoebiusMap:
 
 def make_dilation(lam: float, k: int) -> MoebiusMap:
     """Dilation (z, t) -> (lam z, lam^2 t), fixing the origin and infinity."""
-    if not 0 < lam < math.inf:
-        raise GeometryError(f"dilation coefficient must be positive and finite, got {lam}")
+    inv = 1.0 / lam if lam > 0 else math.inf
+    if not (lam < math.inf and inv < math.inf):
+        raise GeometryError("dilation coefficient must be positive and finite, "
+                            f"with a finite reciprocal, got {lam}")
     g = _identity(k + 1).copy()
     g[0, 0] = lam
-    g[k, k] = 1.0 / lam
+    g[k, k] = inv
     return MoebiusMap(g, check=False)
 
 

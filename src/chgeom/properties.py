@@ -6,6 +6,12 @@ over independent per-trial streams and compares the worst residual with
 the property's tolerance.  Residuals are normalized (relative to the
 largest term of the identity under test, or squared-chordal for point
 coincidences), so tolerances are dimensionless.
+
+A law is declared where it is written: ``@_law(suite, module, tol,
+base_trials, statement)`` appends it to ``REGISTRY`` under its function
+name.  A law's position in this file, not its suite, keys its trial
+streams, so a new law goes at the end of the file; inserted anywhere
+else, it makes every later law draw new streams.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .circles import (
 )
 from .ortho import (
     OrthoComplement,
+    _three_point_residual,
     canonical_fiber,
     are_orthogonal,
     fixset_psi_residual,
@@ -98,6 +105,18 @@ class Property:
     min_k: int = 1
 
 
+REGISTRY: list[Property] = []
+
+
+def _law(suite, module, tol, base_trials, statement, min_k=1):
+    """Register the decorated function as the law named after it."""
+    def register(fn):
+        REGISTRY.append(Property(fn.__name__, suite, module, statement, tol,
+                                 base_trials, fn, min_k))
+        return fn
+    return register
+
+
 def _rel(value: float, scale: float) -> float:
     return abs(value) / max(scale, 1e-300)
 
@@ -118,11 +137,9 @@ def _distinct_taus(rng, n, lo=-2.5, hi=2.5, sep=0.05):
     raise RuntimeError("could not sample separated parameters")
 
 
-# ---------------------------------------------------------------------------
-# ptolemy suite
-# ---------------------------------------------------------------------------
-
-def p_metric_triangle(cfg, rng):
+@_law("ptolemy", "core", 1e-12, 2000,
+      "gauge metric and all its inversions satisfy the triangle inequality")
+def metric_triangle_inequality(cfg, rng):
     x, y, z, w = sample_distinct_points(cfg, rng, 4)
     worst = 0.0
     for d in (dist, lambda p, q: dist_w(w, p, q)):
@@ -134,7 +151,10 @@ def p_metric_triangle(cfg, rng):
 _PTOLEMY_BATCH = 100
 
 
-def p_ptolemy_inequality(cfg, rng):
+@_law("ptolemy", "core", 1e-9, 1000,
+      "diagonal distance products never exceed the sum of the side products "
+      "(each trial sweeps a batch of 100 quadruples)")
+def ptolemy_inequality(cfg, rng):
     # one trial sweeps a batch of quadruples, in the plain gauge metric
     # and in the inversion at the fifth sampled point
     Z, T = _point_batch(cfg, rng, (_PTOLEMY_BATCH, 5))
@@ -157,7 +177,10 @@ def p_ptolemy_inequality(cfg, rng):
     return max(worst, defect(Dw))
 
 
-def p_rcircle_equality(cfg, rng):
+@_law("ptolemy", "core", 1e-9, 2000,
+      "cyclically ordered quadruples on an R-circle satisfy the Ptolemy equality",
+      min_k=2)
+def rcircle_ptolemy_equality(cfg, rng):
     sigma = sample_rcircle(cfg, rng)
     ss = _distinct_taus(rng, 4)
     pts = [sigma.point_at(float(s)) for s in ss]
@@ -166,7 +189,9 @@ def p_rcircle_equality(cfg, rng):
     return _rel(defect, scale)
 
 
-def p_ccircle_squared_equality(cfg, rng):
+@_law("ptolemy", "core", 1e-9, 2000,
+      "ordered quadruples on a chain satisfy the squared Ptolemy equality")
+def ccircle_squared_ptolemy_equality(cfg, rng):
     F = sample_chain(cfg, rng)
     ss = _distinct_taus(rng, 4)
     pts = [F.point_at(float(s)) for s in ss]
@@ -175,7 +200,9 @@ def p_ccircle_squared_equality(cfg, rng):
     return _rel(defect, scale)
 
 
-def p_metric_double_inversion(cfg, rng):
+@_law("ptolemy", "core", 1e-9, 2000,
+      "inverting at a point and back at the old infinity returns the metric")
+def metric_double_inversion(cfg, rng):
     # inverting at w and then at the image of the old infinity returns the
     # original metric; checked through cross-ratio products of a quadruple
     pts = sample_distinct_points(cfg, rng, 5)
@@ -204,11 +231,9 @@ def _pair_with(metric, p, q):
     return 0.5 * metric(p, q) ** 2
 
 
-# ---------------------------------------------------------------------------
-# distance_formula suite
-# ---------------------------------------------------------------------------
-
-def p_distance_formula(cfg, rng):
+@_law("distance_formula", "circles", 1e-9, 10000,
+      "fourth powers satisfy r^4 = a^4 + b^4 for the chain projection", min_k=2)
+def distance_formula_r4(cfg, rng):
     g = random_moebius(cfg, rng)
     F0 = canonical_chain(cfg.k)
     omega = g(infinity(cfg.k))
@@ -227,7 +252,9 @@ def p_distance_formula(cfg, rng):
     return max(worst, _rel(r ** 4 - a ** 4 - b ** 4, max(r ** 4, a ** 4, b ** 4)))
 
 
-def p_wharm_product(cfg, rng):
+@_law("distance_formula", "circles", 1e-8, 1000,
+      "|xz| |zy| = |zu|^2 in the metric inverted at the involution image", min_k=2)
+def wharm_product_identity(cfg, rng):
     F = sample_chain(cfg, rng)
     u = _point_off_chain(cfg, rng, F)
     t1, t2 = _distinct_taus(rng, 2)
@@ -239,11 +266,9 @@ def p_wharm_product(cfg, rng):
     return _rel(lhs - rhs, max(lhs, rhs))
 
 
-# ---------------------------------------------------------------------------
-# axioms_e suite
-# ---------------------------------------------------------------------------
-
-def p_ec_uniqueness(cfg, rng):
+@_law("axioms_e", "circles", 1e-8, 1000,
+      "through two distinct points there is exactly one chain")
+def ec_uniqueness(cfg, rng):
     p, q = sample_distinct_points(cfg, rng, 2)
     F = ccircle_through(p, q)
     worst = max(F.membership_residual(p), F.membership_residual(q))
@@ -252,7 +277,10 @@ def p_ec_uniqueness(cfg, rng):
     return max(worst, circle_pointset_residual(F, F2))
 
 
-def p_er_existence_uniqueness(cfg, rng):
+@_law("axioms_e", "circles", 1e-8, 1000,
+      "one R-circle through a chain point and an outside point meets the chain again",
+      min_k=2)
+def er_existence_uniqueness(cfg, rng):
     F = sample_chain(cfg, rng)
     omega = F.point_at(float(rng.uniform(-2, 2)))
     u = _point_off_chain(cfg, rng, F)
@@ -269,10 +297,6 @@ def p_er_existence_uniqueness(cfg, rng):
     return max(worst, circle_pointset_residual(sigma, sigma2))
 
 
-# ---------------------------------------------------------------------------
-# axioms_o suite
-# ---------------------------------------------------------------------------
-
 def _orthogonal_config(cfg, rng):
     """A map g and a unit direction; g carries the vertical axis and the
     R-line of the direction to an orthogonal chain and R-circle."""
@@ -283,7 +307,10 @@ def _orthogonal_config(cfg, rng):
     return g, direction
 
 
-def p_oc_harmonicity(cfg, rng):
+@_law("axioms_o", "circles", 1e-8, 1000,
+      "harmonic pairs on an orthogonal R-circle are harmonic against every chain point",
+      min_k=2)
+def oc_harmonicity(cfg, rng):
     g, direction = _orthogonal_config(cfg, rng)
     s = math.exp(rng.uniform(-1.0, 1.0))
     u, v = point(s * direction, 0.0), point(-s * direction, 0.0)
@@ -295,7 +322,10 @@ def p_oc_harmonicity(cfg, rng):
     return worst
 
 
-def p_or_harmonicity(cfg, rng):
+@_law("axioms_o", "circles", 1e-8, 1000,
+      "harmonic pairs on a chain are harmonic against every point of an "
+      "orthogonal R-circle", min_k=2)
+def or_harmonicity(cfg, rng):
     g, direction = _orthogonal_config(cfg, rng)
     tau = math.exp(rng.uniform(-1.0, 1.0))
     x, y = point(np.zeros(cfg.k - 1), tau), point(np.zeros(cfg.k - 1), -tau)
@@ -306,10 +336,6 @@ def p_or_harmonicity(cfg, rng):
         worst = max(worst, harmonicity_residual(w, gx, gom, gy))
     return worst
 
-
-# ---------------------------------------------------------------------------
-# circles suite
-# ---------------------------------------------------------------------------
 
 def _count_low_clusters(values, threshold):
     low = [v < threshold for v in values]
@@ -338,7 +364,9 @@ def _chain_residuals_along_rcircle(F, sigma, ss):
     return (np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=0)) ** 2
 
 
-def p_rc_intersection_bound(cfg, rng):
+@_law("circles", "circles", 0.5, 300,
+      "a chain and an R-circle share at most two points", min_k=2)
+def rc_intersection_bound(cfg, rng):
     sigma = sample_rcircle(cfg, rng)
     s1, s2 = _distinct_taus(rng, 2, sep=0.3)
     F = ccircle_through(sigma.point_at(float(s1)), sigma.point_at(float(s2)))
@@ -351,7 +379,10 @@ def p_rc_intersection_bound(cfg, rng):
     return float(max(0, clusters - 2) + max(0, clusters_g - 2))
 
 
-def p_conjugate_pole(cfg, rng):
+@_law("circles", "circles", 1e-8, 200,
+      "the conjugate pole closes harmonic co-circular 4-tuples over the whole chain",
+      min_k=2)
+def conjugate_pole_cocircular(cfg, rng):
     F = sample_chain(cfg, rng)
     u = _point_off_chain(cfg, rng, F)
     v = conjugate_pole(F, u)
@@ -366,7 +397,9 @@ def p_conjugate_pole(cfg, rng):
     return worst
 
 
-def p_moebius_involution_crt(cfg, rng):
+@_law("circles", "circles", 1e-9, 1000,
+      "cross-ratios against the two poles swap under the chain involution", min_k=2)
+def moebius_involution_crt_identity(cfg, rng):
     F = sample_chain(cfg, rng)
     u = _point_off_chain(cfg, rng, F)
     v = conjugate_pole(F, u)
@@ -377,7 +410,9 @@ def p_moebius_involution_crt(cfg, rng):
     return lhs.max_difference(rhs)
 
 
-def p_eta_involution(cfg, rng):
+@_law("circles", "circles", 1e-8, 500,
+      "the induced chain involution squares to the identity", min_k=2)
+def eta_involution(cfg, rng):
     F = sample_chain(cfg, rng)
     u = _point_off_chain(cfg, rng, F)
     worst = 0.0
@@ -387,7 +422,9 @@ def p_eta_involution(cfg, rng):
     return worst
 
 
-def p_eta_preserves_crt(cfg, rng):
+@_law("circles", "circles", 1e-9, 500,
+      "the induced chain involution preserves cross-ratio triples", min_k=2)
+def eta_preserves_crt(cfg, rng):
     F = sample_chain(cfg, rng)
     u = _point_off_chain(cfg, rng, F)
     taus = _distinct_taus(rng, 4)
@@ -396,7 +433,9 @@ def p_eta_preserves_crt(cfg, rng):
     return crt(*pts).max_difference(crt(*images))
 
 
-def p_sphere_bisector(cfg, rng):
+@_law("circles", "circles", 1e-8, 500,
+      "a sphere between two points is the bisector once one of its points is remote")
+def sphere_bisector_form(cfg, rng):
     u, v, x = sample_distinct_points(cfg, rng, 3)
     S = sphere_between(u, v, x)
     pts = S.sample_points(4, rng)
@@ -407,7 +446,9 @@ def p_sphere_bisector(cfg, rng):
     return max(worst, _rel(du - dv, max(du, dv)))
 
 
-def p_filling_sphere(cfg, rng):
+@_law("circles", "circles", 1e-8, 400,
+      "every sphere point lies on an R-circle through the chain intercepts", min_k=2)
+def filling_sphere_rcircles(cfg, rng):
     omega, omega_p = sample_distinct_points(cfg, rng, 2)
     F = ccircle_through(omega, omega_p)
     c = chain_chart(F, omega_p, omega)
@@ -426,7 +467,10 @@ def p_filling_sphere(cfg, rng):
     return worst
 
 
-def p_property_u(cfg, rng):
+@_law("circles", "circles", 1e-8, 400,
+      "Ptolemy equality with three points on an R-circle forces the fourth onto it",
+      min_k=2)
+def property_u_fourth_point(cfg, rng):
     sigma = sample_rcircle(cfg, rng)
     ss = _distinct_taus(rng, 4, sep=0.2)
     x, y, z, u = (sigma.point_at(float(s)) for s in ss)
@@ -444,11 +488,9 @@ def p_property_u(cfg, rng):
     return worst
 
 
-# ---------------------------------------------------------------------------
-# foliation suite
-# ---------------------------------------------------------------------------
-
-def p_base_projection(cfg, rng):
+@_law("foliation", "foliation", 1e-10, 1000,
+      "the base projection is 1-Lipschitz and isometric on R-lines", min_k=2)
+def base_projection_isometric(cfg, rng):
     omega = infinity(cfg.k)
     # an R-line through infinity: no inversion in the transport
     sigma = canonical_rcircle(cfg.k).transported(random_moebius(cfg, rng, allow_inversion=False))
@@ -474,7 +516,10 @@ def _fiber_through(omega, z):
     return ccircle_through(omega, point(z, 0.0))
 
 
-def p_base_dist_welldefined(cfg, rng):
+@_law("foliation", "foliation", 1e-10, 500,
+      "fiber distance is independent of the sample point and matches the chart",
+      min_k=2)
+def base_dist_welldefined(cfg, rng):
     omega = infinity(cfg.k)
     m = cfg.k - 1
     z1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -497,7 +542,9 @@ def p_base_dist_welldefined(cfg, rng):
     return worst
 
 
-def p_base_parallelogram(cfg, rng):
+@_law("foliation", "foliation", 1e-10, 1000,
+      "base distances satisfy the parallelogram law", min_k=2)
+def base_parallelogram_law(cfg, rng):
     omega = infinity(cfg.k)
     m = cfg.k - 1
     zs = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(3)]
@@ -509,7 +556,9 @@ def p_base_parallelogram(cfg, rng):
     return _rel(sides - diags, max(sides, diags))
 
 
-def p_base_midpoint(cfg, rng):
+@_law("foliation", "foliation", 1e-10, 300,
+      "base geodesics are unique: off-segment detours are strictly longer", min_k=2)
+def base_midpoint_uniqueness(cfg, rng):
     omega = infinity(cfg.k)
     m = cfg.k - 1
     za = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -530,7 +579,9 @@ def p_base_midpoint(cfg, rng):
     return worst
 
 
-def p_busemann(cfg, rng):
+@_law("foliation", "foliation", 1e-6, 300,
+      "Busemann functions are affine on R-lines and constant on fibers", min_k=2)
+def busemann_affine_fibers(cfg, rng):
     omega = infinity(cfg.k)
     sigma = canonical_rcircle(cfg.k).transported(random_moebius(cfg, rng, allow_inversion=False))
     o = sigma.point_at(float(rng.uniform(-1, 1)))
@@ -549,7 +600,9 @@ def p_busemann(cfg, rng):
     return max(worst, _rel(b1 - b2, scale))
 
 
-def p_vertical_shift(cfg, rng):
+@_law("foliation", "foliation", 1e-12, 1000,
+      "vertical shifts are isometries with displacement sqrt(|s|)")
+def vertical_shift_isometry(cfg, rng):
     omega = infinity(cfg.k)
     s = rng.uniform(0.5, 4.0) * (1 if rng.uniform() < 0.5 else -1)
     gamma = fo.vertical_shift(omega, s)
@@ -562,7 +615,10 @@ def p_vertical_shift(cfg, rng):
     return max(worst, _rel(disp_sq - (abs(s) + abs(s2)), abs(s) + abs(s2)))
 
 
-def p_pure_homothety(cfg, rng):
+@_law("foliation", "foliation", 1e-8, 500,
+      "pure homotheties scale the inverted metric and preserve lines through "
+      "the center")
+def pure_homothety_scaling(cfg, rng):
     o, w = sample_distinct_points(cfg, rng, 2)
     lam = math.exp(rng.uniform(-1.0, 1.0))
     h = fo.pure_homothety(o, w, lam)
@@ -593,7 +649,9 @@ def _random_polygon(cfg, rng, n):
     return fo.Polygon(vertices=verts)
 
 
-def p_lift_additivity(cfg, rng):
+@_law("foliation", "foliation", 1e-12, 1000,
+      "the polygon lift shift is additive under splitting along a segment", min_k=2)
+def lift_additivity(cfg, rng):
     P = _random_polygon(cfg, rng, 5)
     v = P.vertices
     i, j = 0, 2
@@ -604,7 +662,9 @@ def p_lift_additivity(cfg, rng):
     return _rel(total - split, max(1.0, abs(total)))
 
 
-def p_lift_homothety(cfg, rng):
+@_law("foliation", "foliation", 1e-12, 1000,
+      "scaling a polygon scales the lift displacement linearly", min_k=2)
+def lift_homothety_scaling(cfg, rng):
     P = _random_polygon(cfg, rng, 4)
     lam = math.exp(rng.uniform(-1.0, 1.0))
     d1 = fo.tau(P, 0.0)[1]
@@ -612,7 +672,10 @@ def p_lift_homothety(cfg, rng):
     return _rel(d2 - lam * d1, max(1.0, lam * d1))
 
 
-def p_lift_triangle_ratio(cfg, rng):
+@_law("foliation", "foliation", 1e-10, 500,
+      "moving a triangle vertex along a side scales the squared displacement by "
+      "the ratio", min_k=2)
+def lift_triangle_area_ratio(cfg, rng):
     m = cfg.k - 1
     pts = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
     v, y, z = pts
@@ -625,7 +688,9 @@ def p_lift_triangle_ratio(cfg, rng):
     return _rel(lhs - rhs, max(lhs, rhs, 1e-6))
 
 
-def p_lift_diagonal_split(cfg, rng):
+@_law("foliation", "foliation", 1e-12, 1000,
+      "the two triangles of a parallelogram diagonal have equal lift shifts", min_k=2)
+def lift_diagonal_split(cfg, rng):
     m = cfg.k - 1
     p, a, b = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(3))
     T1 = fo.Polygon(vertices=np.vstack([p, p + a, p + a + b]))
@@ -634,7 +699,9 @@ def p_lift_diagonal_split(cfg, rng):
     return _rel(d1 - d2, max(1.0, abs(d1)))
 
 
-def p_lift_square(cfg, rng):
+@_law("foliation", "foliation", 1e-12, 200,
+      "the unit square lifts to the vertical shift by -4, displacement 2", min_k=2)
+def lift_square_displacement(cfg, rng):
     m = cfg.k - 1
     square = np.zeros((4, m), dtype=complex)
     square[1, 0], square[2, 0], square[3, 0] = 1.0, 1.0 + 1j, 1j
@@ -650,11 +717,9 @@ def p_lift_square(cfg, rng):
     return worst
 
 
-# ---------------------------------------------------------------------------
-# holonomy suite (curvature model)
-# ---------------------------------------------------------------------------
-
-def p_curvature_golden(cfg, rng):
+@_law("holonomy", "tangent", 1e-12, 1,
+      "the adapted-frame curvature values match their exact constants", min_k=2)
+def curvature_golden_values(cfg, rng):
     x, y, z, u, v = tg.adapted_frame(cfg.k)
     checks = [
         (tg.riem(x, y, z, u), 2.0),
@@ -680,7 +745,9 @@ def _random_tangent(cfg, rng):
     return rng.standard_normal(cfg.k) + 1j * rng.standard_normal(cfg.k)
 
 
-def p_curvature_symmetries(cfg, rng):
+@_law("holonomy", "tangent", 1e-12, 2000,
+      "the curvature tensor has all its symmetries and satisfies the Bianchi sum")
+def curvature_symmetries(cfg, rng):
     x, y, z, w = (_random_tangent(cfg, rng) for _ in range(4))
     r = tg.riem
     rxyzw = r(x, y, z, w)
@@ -692,31 +759,41 @@ def p_curvature_symmetries(cfg, rng):
     return max(worst, _rel(bianchi, scale))
 
 
-def p_polarization(cfg, rng):
+@_law("holonomy", "tangent", 1e-10, 1000,
+      "the 14-term polarization equals six times the tensor")
+def polarization_identity(cfg, rng):
     x, y, z, w = (_random_tangent(cfg, rng) for _ in range(4))
     lhs = tg.riem_polarized(x, y, z, w)
     rhs = 6.0 * tg.riem(x, y, z, w)
     return _rel(lhs - rhs, max(1.0, abs(lhs), abs(rhs)))
 
 
-def p_curvature_spectrum(cfg, rng):
+@_law("holonomy", "tangent", 1e-10, 300,
+      "the curvature operator has eigenvalues -4 (once) and -1 (2k-2 times)")
+def curvature_operator_spectrum(cfg, rng):
     evals = tg.curvature_operator_spectrum(_random_tangent(cfg, rng))
     target = np.concatenate([[-4.0], -np.ones(2 * cfg.k - 2), [0.0]])
     return float(np.max(np.abs(evals - target)))
 
 
-def p_holonomy_identity(cfg, rng):
+@_law("holonomy", "tangent", 1e-12, 1000,
+      "R(x, Jx) z = 2 Jz for z in the complex orthogonal complement", min_k=2)
+def holonomy_identity(cfg, rng):
     x, y, z, u, _ = tg.adapted_frame(cfg.k, rng)
     return float(np.linalg.norm(tg.riem_vec(x, y, z) - 2.0 * u))
 
 
-def p_sectional_bounds(cfg, rng):
+@_law("holonomy", "tangent", 1e-10, 2000,
+      "sectional curvatures stay pinched between -4 and -1")
+def sectional_bounds(cfg, rng):
     u, v = _random_tangent(cfg, rng), _random_tangent(cfg, rng)
     K = tg.sectional(u, v)
     return max(0.0, -4.0 - K, K + 1.0)
 
 
-def p_reflection_transitivity(cfg, rng):
+@_law("holonomy", "tangent", 1e-10, 1000,
+      "words of unitary reflections act transitively on the unit sphere")
+def unitary_reflection_transitivity(cfg, rng):
     u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
@@ -741,11 +818,10 @@ def p_reflection_transitivity(cfg, rng):
     return max(worst, float(np.max(np.abs(power - I))))
 
 
-# ---------------------------------------------------------------------------
-# ortho suite
-# ---------------------------------------------------------------------------
-
-def p_ortho_membership_agree(cfg, rng):
+@_law("ortho", "ortho", 1e-8, 1000,
+      "the three-point and two-sphere membership tests for the complement agree",
+      min_k=2)
+def ortho_membership_tests_agree(cfg, rng):
     A = sample_ortho_complement(cfg, rng)
     u_on = A.sample_points(1, rng)[0]
     r3, rs = ortho_membership_residuals(A, u_on)
@@ -762,7 +838,9 @@ def p_ortho_membership_agree(cfg, rng):
     return worst
 
 
-def p_ortho_reflection_stability(cfg, rng):
+@_law("ortho", "ortho", 1e-8, 500,
+      "the complement contains the conjugate pole of each of its points", min_k=2)
+def ortho_reflection_stability(cfg, rng):
     A = sample_ortho_complement(cfg, rng)
     u = A.sample_points(1, rng)[0]
     v = conjugate_pole(A.F, u)
@@ -770,15 +848,16 @@ def p_ortho_reflection_stability(cfg, rng):
     return max(r3, rs)
 
 
-def p_canonical_fiber(cfg, rng):
+@_law("ortho", "ortho", 1e-8, 300,
+      "canonical fibers lie in the complement, are reflection-stable and disjoint",
+      min_k=2)
+def canonical_fiber_in_complement(cfg, rng):
     A = sample_ortho_complement(cfg, rng)
     u = A.sample_points(1, rng)[0]
     fib = canonical_fiber(A, u)
     worst = 0.0
     for tau in _distinct_taus(rng, 5):
-        p = fib.point_at(float(tau))
-        r3, _ = ortho_membership_residuals(A, p)
-        worst = max(worst, r3)
+        worst = max(worst, _three_point_residual(A, fib.point_at(float(tau))))
     phi = reflection_in_ccircle(A.F)
     for tau in (0.4, -1.3, math.inf):
         p = fib.point_at(tau)
@@ -793,7 +872,9 @@ def p_canonical_fiber(cfg, rng):
     return worst
 
 
-def p_orthogonal_commute(cfg, rng):
+@_law("ortho", "ortho", 1e-8, 500,
+      "mutual orthogonality is symmetric and the two reflections commute", min_k=2)
+def orthogonality_symmetric_commuting(cfg, rng):
     F, Fp = sample_orthopair(cfg, rng)
     if not (are_orthogonal(F, Fp) and are_orthogonal(Fp, F)):
         return 1.0
@@ -805,7 +886,10 @@ def p_orthogonal_commute(cfg, rng):
     return worst
 
 
-def p_fixset_intersection(cfg, rng):
+@_law("ortho", "ortho", 1e-8, 500,
+      "the fixed set of the composed reflections is the intersection of complements",
+      min_k=2)
+def fixset_equals_intersection(cfg, rng):
     g = random_moebius(cfg, rng)
     k = cfg.k
     e1 = np.zeros(k - 1, dtype=complex)
@@ -820,21 +904,20 @@ def p_fixset_intersection(cfg, rng):
         e2[1] = 1.0
         u = g(point(e2, 0.0))
         worst = max(worst, fixset_psi_residual(F, Fp, u))
-        rA, _ = ortho_membership_residuals(A, u)
-        rAp, _ = ortho_membership_residuals(Ap, u)
-        worst = max(worst, rA, rAp)
+        worst = max(worst, _three_point_residual(A, u), _three_point_residual(Ap, u))
     u_off = sample_point(cfg, rng)
     if min(F.membership_residual(u_off), Fp.membership_residual(u_off)) > 1e-3:
         fixed = fixset_psi_residual(F, Fp, u_off) < OFF_CIRCLE_MARGIN
-        rA, _ = ortho_membership_residuals(A, u_off)
-        rAp, _ = ortho_membership_residuals(Ap, u_off)
-        both_in = max(rA, rAp) < OFF_CIRCLE_MARGIN
+        both_in = max(_three_point_residual(A, u_off),
+                      _three_point_residual(Ap, u_off)) < OFF_CIRCLE_MARGIN
         if fixed != both_in:
             worst = max(worst, 1.0)
     return worst
 
 
-def p_nonfiber_chain(cfg, rng):
+@_law("ortho", "ortho", 1e-8, 50,
+      "some chain inside the complement is not a canonical fiber", min_k=3)
+def nonfiber_chain_counterexample(cfg, rng):
     g = random_moebius(cfg, rng)
     k = cfg.k
     F = canonical_chain(k).transported(g)
@@ -847,9 +930,8 @@ def p_nonfiber_chain(cfg, rng):
     C = ccircle_through(g(point(e1, 0.0)), g(point(e2, 0.0)))
     worst = 0.0
     for tau in (-1.0, 0.0, 1.0, math.inf):
-        p = C.point_at(tau)
-        r3, _ = ortho_membership_residuals(A, p)
-        worst = max(worst, r3)  # the chain lies inside the complement
+        # the chain lies inside the complement
+        worst = max(worst, _three_point_residual(A, C.point_at(tau)))
     # but it is not a fiber: conjugate poles of its points leave it
     for tau in (0.0, 1.0):
         p = C.point_at(tau)
@@ -858,7 +940,10 @@ def p_nonfiber_chain(cfg, rng):
     return worst
 
 
-def p_fiber_involution(cfg, rng):
+@_law("ortho", "ortho", 1e-8, 300,
+      "reflections across canonical fibers preserve the complement and its fibration",
+      min_k=2)
+def fiber_involution_preserves(cfg, rng):
     A = sample_ortho_complement(cfg, rng)
     u = A.sample_points(1, rng)[0]
     fib = canonical_fiber(A, u)
@@ -866,8 +951,7 @@ def p_fiber_involution(cfg, rng):
     worst = 0.0
     a = A.sample_points(1, rng)[0]
     image = phi_fib(a)
-    r3, _ = ortho_membership_residuals(A, image)
-    worst = max(worst, r3)
+    worst = max(worst, _three_point_residual(A, image))
     if fib.membership_residual(a) > 1e-3:
         fa = canonical_fiber(A, a)
         fim = canonical_fiber(A, image)
@@ -876,16 +960,15 @@ def p_fiber_involution(cfg, rng):
     return worst
 
 
-# ---------------------------------------------------------------------------
-# join suite
-# ---------------------------------------------------------------------------
-
-def p_join_decompose(cfg, rng):
+@_law("join", "ortho", 1e-9, 1000,
+      "the join decomposition puts the query point on the mid-sphere, |wu| = r",
+      min_k=2)
+def join_decompose_radius(cfg, rng):
     A = sample_ortho_complement(cfg, rng)
     F = A.F
     omega = F.point_at(float(rng.uniform(-2, 2)))
     u = _point_off_chain(cfg, rng, F)
-    dec = join_decompose(F, A.eta, A, u, omega)
+    dec = join_decompose(A, u, omega)
     if dec.b < 1e-6 or dec.a < 1e-3:
         return 0.0
     r_check = dist_w(omega, dec.w, u)
@@ -898,7 +981,9 @@ def p_join_decompose(cfg, rng):
     return worst
 
 
-def p_join_equations(cfg, rng):
+@_law("join", "ortho", 1e-12, 2000,
+      "the closed-form intercepts solve the product and squared-difference equations")
+def join_equations_algebra(cfg, rng):
     a = math.exp(rng.uniform(-1.5, 1.5))
     b = math.exp(rng.uniform(-1.5, 1.5))
     rho = math.exp(rng.uniform(-1.0, 1.0))
@@ -907,7 +992,9 @@ def p_join_equations(cfg, rng):
     return max(worst, _rel(X * X - Y * Y - cc, max(1.0, abs(cc), X * X + Y * Y)))
 
 
-def p_positive_root(cfg, rng):
+@_law("join", "ortho", 1e-10, 1000,
+      "the bracketing quartic root matches an independent polynomial solver")
+def positive_root_independent(cfg, rng):
     b = math.exp(rng.uniform(-1.0, 1.0))
     c = math.exp(rng.uniform(-1.0, 1.0))
     d = c * b ** 4 * (1.0 + math.exp(rng.uniform(-1.0, 2.0)))
@@ -921,19 +1008,23 @@ def p_positive_root(cfg, rng):
     return max(_rel(s0 - real_pos[0], max(s0, 1e-12)), resid)
 
 
-def p_standard_rcircle(cfg, rng):
+@_law("join", "ortho", 1e-8, 500,
+      "standard circles carry the harmonic 4-tuple of chain and subspace intercepts",
+      min_k=2)
+def standard_rcircle_harmonic(cfg, rng):
     A = sample_ortho_complement(cfg, rng)
-    F = A.F
-    u = F.point_at(float(rng.uniform(-2, 2)))
+    u = A.F.point_at(float(rng.uniform(-2, 2)))
     x = A.sample_points(1, rng)[0]
-    std = standard_rcircle(F, A, x, u)
+    std = standard_rcircle(A, x, u)
     worst = harmonicity_residual(std.u, std.x, std.v, std.y)
     worst = max(worst, std.sigma.membership_residual(std.y))
     worst = max(worst, chordal_sq(std.v, A.eta(u)))
     return worst
 
 
-def p_standard_intersections(cfg, rng):
+@_law("join", "ortho", 1e-8, 200,
+      "distinct standard circles meet only inside the chain and the subspace", min_k=2)
+def standard_rcircles_intersection(cfg, rng):
     A = sample_ortho_complement(cfg, rng)
     F = A.F
     u = F.point_at(float(rng.uniform(-2, 2)))
@@ -941,8 +1032,8 @@ def p_standard_intersections(cfg, rng):
     x2 = A.sample_points(1, rng)[0]
     if chordal_sq(x1, x2) < 1e-4 or chordal_sq(x1, conjugate_pole(F, x2)) < 1e-4:
         return 0.0
-    s1 = standard_rcircle(F, A, x1, u)
-    s2 = standard_rcircle(F, A, x2, u)
+    s1 = standard_rcircle(A, x1, u)
+    s2 = standard_rcircle(A, x2, u)
     worst = max(s2.sigma.membership_residual(s1.u), s2.sigma.membership_residual(s1.v))
     for s in (-1.7, -0.6, 0.5, 1.4):
         p = s1.sigma.point_at(s)
@@ -953,7 +1044,10 @@ def p_standard_intersections(cfg, rng):
     return worst
 
 
-def p_suspension_foliations(cfg, rng):
+@_law("join", "ortho", 1e-8, 300,
+      "suspension fibers are R-lines through the poles at scaled constant distance",
+      min_k=2)
+def suspension_foliations(cfg, rng):
     g = random_moebius(cfg, rng)
     k = cfg.k
     e1 = np.zeros(k - 1, dtype=complex)
@@ -972,11 +1066,10 @@ def p_suspension_foliations(cfg, rng):
     return worst
 
 
-# ---------------------------------------------------------------------------
-# automorphisms suite
-# ---------------------------------------------------------------------------
-
-def p_generator_actions(cfg, rng):
+@_law("automorphisms", "projective", 1e-9, 1000,
+      "translations, rotations, dilations and the inversion act by their chart "
+      "formulas")
+def generator_chart_actions(cfg, rng):
     k = cfg.k
     p, q = sample_distinct_points(cfg, rng, 2)
     z0 = sample_point(cfg, rng)
@@ -995,7 +1088,9 @@ def p_generator_actions(cfg, rng):
     return worst
 
 
-def p_form_preservation(cfg, rng):
+@_law("automorphisms", "projective", 1e-10, 200,
+      "compositions keep preserving the Hermitian form within drift bounds")
+def form_preservation_drift(cfg, rng):
     g = random_moebius(cfg, rng)
     h = random_moebius(cfg, rng)
     single = (g @ h).form_residual()
@@ -1006,7 +1101,9 @@ def p_form_preservation(cfg, rng):
     return max(single, comp.form_residual() / 100.0)
 
 
-def p_crt_invariance(cfg, rng):
+@_law("automorphisms", "core", 1e-9, 2000,
+      "cross-ratio triples are invariant under boundary automorphisms")
+def crt_moebius_invariance(cfg, rng):
     quad = sample_admissible_quadruple(cfg, rng)
     g = random_moebius(cfg, rng)
     before = crt(*quad)
@@ -1014,12 +1111,16 @@ def p_crt_invariance(cfg, rng):
     return before.max_difference(after)
 
 
-def p_crt_cross_model(cfg, rng):
+@_law("automorphisms", "projective", 1e-9, 10000,
+      "chart and projective cross-ratio triples agree")
+def crt_cross_model_agreement(cfg, rng):
     quad = sample_admissible_quadruple(cfg, rng)
     return crt(*quad).max_difference(crt_projective(*quad))
 
 
-def p_conjugation_circles(cfg, rng):
+@_law("automorphisms", "projective", 1e-8, 500,
+      "automorphisms map chains to chains and R-circles to R-circles")
+def conjugation_preserves_circles(cfg, rng):
     g = random_moebius(cfg, rng)
     F = sample_chain(cfg, rng)
     imgs = [g(p) for p in F.sample_points(5)]
@@ -1038,7 +1139,9 @@ def p_conjugation_circles(cfg, rng):
     return worst
 
 
-def p_reflection_involution(cfg, rng):
+@_law("automorphisms", "projective", 1e-8, 500,
+      "chain reflections are involutions fixing the chain and its crossing R-circles")
+def reflection_involution_fixedset(cfg, rng):
     F = sample_chain(cfg, rng)
     phi = reflection_in_ccircle(F)
     worst = 0.0
@@ -1057,7 +1160,9 @@ def p_reflection_involution(cfg, rng):
     return worst
 
 
-def p_lift_roundtrip(cfg, rng):
+@_law("automorphisms", "projective", 1e-10, 2000,
+      "null lifts are null, projectively stable, and invert back to the point")
+def lift_drop_roundtrip(cfg, rng):
     p = sample_point(cfg, rng)
     X = lift(p)
     worst = abs(herm(X, X))
@@ -1068,203 +1173,6 @@ def p_lift_roundtrip(cfg, rng):
     worst = max(worst, abs(distance_pairing_constant(cfg.k) - 2.0))
     return worst
 
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-def _props():
-    P = Property
-    return [
-        # ptolemy
-        P("metric_triangle_inequality", "ptolemy", "core",
-          "gauge metric and all its inversions satisfy the triangle inequality",
-          1e-12, 2000, p_metric_triangle),
-        P("ptolemy_inequality", "ptolemy", "core",
-          "diagonal distance products never exceed the sum of the side products"
-          " (each trial sweeps a batch of 100 quadruples)",
-          1e-9, 1000, p_ptolemy_inequality),
-        P("rcircle_ptolemy_equality", "ptolemy", "core",
-          "cyclically ordered quadruples on an R-circle satisfy the Ptolemy equality",
-          1e-9, 2000, p_rcircle_equality, min_k=2),
-        P("ccircle_squared_ptolemy_equality", "ptolemy", "core",
-          "ordered quadruples on a chain satisfy the squared Ptolemy equality",
-          1e-9, 2000, p_ccircle_squared_equality),
-        P("metric_double_inversion", "ptolemy", "core",
-          "inverting at a point and back at the old infinity returns the metric",
-          1e-9, 2000, p_metric_double_inversion),
-        # distance_formula
-        P("distance_formula_r4", "distance_formula", "circles",
-          "fourth powers satisfy r^4 = a^4 + b^4 for the chain projection",
-          1e-9, 10000, p_distance_formula, min_k=2),
-        P("wharm_product_identity", "distance_formula", "circles",
-          "|xz| |zy| = |zu|^2 in the metric inverted at the involution image",
-          1e-8, 1000, p_wharm_product, min_k=2),
-        # axioms_e
-        P("ec_uniqueness", "axioms_e", "circles",
-          "through two distinct points there is exactly one chain",
-          1e-8, 1000, p_ec_uniqueness),
-        P("er_existence_uniqueness", "axioms_e", "circles",
-          "one R-circle through a chain point and an outside point meets the chain again",
-          1e-8, 1000, p_er_existence_uniqueness, min_k=2),
-        # axioms_o
-        P("oc_harmonicity", "axioms_o", "circles",
-          "harmonic pairs on an orthogonal R-circle are harmonic against every chain point",
-          1e-8, 1000, p_oc_harmonicity, min_k=2),
-        P("or_harmonicity", "axioms_o", "circles",
-          "harmonic pairs on a chain are harmonic against every point of an orthogonal R-circle",
-          1e-8, 1000, p_or_harmonicity, min_k=2),
-        # circles
-        P("rc_intersection_bound", "circles", "circles",
-          "a chain and an R-circle share at most two points",
-          0.5, 300, p_rc_intersection_bound, min_k=2),
-        P("conjugate_pole_cocircular", "circles", "circles",
-          "the conjugate pole closes harmonic co-circular 4-tuples over the whole chain",
-          1e-8, 200, p_conjugate_pole, min_k=2),
-        P("moebius_involution_crt_identity", "circles", "circles",
-          "cross-ratios against the two poles swap under the chain involution",
-          1e-9, 1000, p_moebius_involution_crt, min_k=2),
-        P("eta_involution", "circles", "circles",
-          "the induced chain involution squares to the identity",
-          1e-8, 500, p_eta_involution, min_k=2),
-        P("eta_preserves_crt", "circles", "circles",
-          "the induced chain involution preserves cross-ratio triples",
-          1e-9, 500, p_eta_preserves_crt, min_k=2),
-        P("sphere_bisector_form", "circles", "circles",
-          "a sphere between two points is the bisector once one of its points is remote",
-          1e-8, 500, p_sphere_bisector),
-        P("filling_sphere_rcircles", "circles", "circles",
-          "every sphere point lies on an R-circle through the chain intercepts",
-          1e-8, 400, p_filling_sphere, min_k=2),
-        P("property_u_fourth_point", "circles", "circles",
-          "Ptolemy equality with three points on an R-circle forces the fourth onto it",
-          1e-8, 400, p_property_u, min_k=2),
-        # foliation
-        P("base_projection_isometric", "foliation", "foliation",
-          "the base projection is 1-Lipschitz and isometric on R-lines",
-          1e-10, 1000, p_base_projection, min_k=2),
-        P("base_dist_welldefined", "foliation", "foliation",
-          "fiber distance is independent of the sample point and matches the chart",
-          1e-10, 500, p_base_dist_welldefined, min_k=2),
-        P("base_parallelogram_law", "foliation", "foliation",
-          "base distances satisfy the parallelogram law",
-          1e-10, 1000, p_base_parallelogram, min_k=2),
-        P("base_midpoint_uniqueness", "foliation", "foliation",
-          "base geodesics are unique: off-segment detours are strictly longer",
-          1e-10, 300, p_base_midpoint, min_k=2),
-        P("busemann_affine_fibers", "foliation", "foliation",
-          "Busemann functions are affine on R-lines and constant on fibers",
-          1e-6, 300, p_busemann, min_k=2),
-        P("vertical_shift_isometry", "foliation", "foliation",
-          "vertical shifts are isometries with displacement sqrt(|s|)",
-          1e-12, 1000, p_vertical_shift),
-        P("pure_homothety_scaling", "foliation", "foliation",
-          "pure homotheties scale the inverted metric and preserve lines through the center",
-          1e-8, 500, p_pure_homothety),
-        P("lift_additivity", "foliation", "foliation",
-          "the polygon lift shift is additive under splitting along a segment",
-          1e-12, 1000, p_lift_additivity, min_k=2),
-        P("lift_homothety_scaling", "foliation", "foliation",
-          "scaling a polygon scales the lift displacement linearly",
-          1e-12, 1000, p_lift_homothety, min_k=2),
-        P("lift_triangle_area_ratio", "foliation", "foliation",
-          "moving a triangle vertex along a side scales the squared displacement by the ratio",
-          1e-10, 500, p_lift_triangle_ratio, min_k=2),
-        P("lift_diagonal_split", "foliation", "foliation",
-          "the two triangles of a parallelogram diagonal have equal lift shifts",
-          1e-12, 1000, p_lift_diagonal_split, min_k=2),
-        P("lift_square_displacement", "foliation", "foliation",
-          "the unit square lifts to the vertical shift by -4, displacement 2",
-          1e-12, 200, p_lift_square, min_k=2),
-        # holonomy
-        P("curvature_golden_values", "holonomy", "tangent",
-          "the adapted-frame curvature values match their exact constants",
-          1e-12, 1, p_curvature_golden, min_k=2),
-        P("curvature_symmetries", "holonomy", "tangent",
-          "the curvature tensor has all its symmetries and satisfies the Bianchi sum",
-          1e-12, 2000, p_curvature_symmetries),
-        P("polarization_identity", "holonomy", "tangent",
-          "the 14-term polarization equals six times the tensor",
-          1e-10, 1000, p_polarization),
-        P("curvature_operator_spectrum", "holonomy", "tangent",
-          "the curvature operator has eigenvalues -4 (once) and -1 (2k-2 times)",
-          1e-10, 300, p_curvature_spectrum),
-        P("holonomy_identity", "holonomy", "tangent",
-          "R(x, Jx) z = 2 Jz for z in the complex orthogonal complement",
-          1e-12, 1000, p_holonomy_identity, min_k=2),
-        P("sectional_bounds", "holonomy", "tangent",
-          "sectional curvatures stay pinched between -4 and -1",
-          1e-10, 2000, p_sectional_bounds),
-        P("unitary_reflection_transitivity", "holonomy", "tangent",
-          "words of unitary reflections act transitively on the unit sphere",
-          1e-10, 1000, p_reflection_transitivity),
-        # ortho
-        P("ortho_membership_tests_agree", "ortho", "ortho",
-          "the three-point and two-sphere membership tests for the complement agree",
-          1e-8, 1000, p_ortho_membership_agree, min_k=2),
-        P("ortho_reflection_stability", "ortho", "ortho",
-          "the complement contains the conjugate pole of each of its points",
-          1e-8, 500, p_ortho_reflection_stability, min_k=2),
-        P("canonical_fiber_in_complement", "ortho", "ortho",
-          "canonical fibers lie in the complement, are reflection-stable and disjoint",
-          1e-8, 300, p_canonical_fiber, min_k=2),
-        P("orthogonality_symmetric_commuting", "ortho", "ortho",
-          "mutual orthogonality is symmetric and the two reflections commute",
-          1e-8, 500, p_orthogonal_commute, min_k=2),
-        P("fixset_equals_intersection", "ortho", "ortho",
-          "the fixed set of the composed reflections is the intersection of complements",
-          1e-8, 500, p_fixset_intersection, min_k=2),
-        P("nonfiber_chain_counterexample", "ortho", "ortho",
-          "some chain inside the complement is not a canonical fiber",
-          1e-8, 50, p_nonfiber_chain, min_k=3),
-        P("fiber_involution_preserves", "ortho", "ortho",
-          "reflections across canonical fibers preserve the complement and its fibration",
-          1e-8, 300, p_fiber_involution, min_k=2),
-        # join
-        P("join_decompose_radius", "join", "ortho",
-          "the join decomposition puts the query point on the mid-sphere, |wu| = r",
-          1e-9, 1000, p_join_decompose, min_k=2),
-        P("join_equations_algebra", "join", "ortho",
-          "the closed-form intercepts solve the product and squared-difference equations",
-          1e-12, 2000, p_join_equations),
-        P("positive_root_independent", "join", "ortho",
-          "the bracketing quartic root matches an independent polynomial solver",
-          1e-10, 1000, p_positive_root),
-        P("standard_rcircle_harmonic", "join", "ortho",
-          "standard circles carry the harmonic 4-tuple of chain and subspace intercepts",
-          1e-8, 500, p_standard_rcircle, min_k=2),
-        P("standard_rcircles_intersection", "join", "ortho",
-          "distinct standard circles meet only inside the chain and the subspace",
-          1e-8, 200, p_standard_intersections, min_k=2),
-        P("suspension_foliations", "join", "ortho",
-          "suspension fibers are R-lines through the poles at scaled constant distance",
-          1e-8, 300, p_suspension_foliations, min_k=2),
-        # automorphisms
-        P("generator_chart_actions", "automorphisms", "projective",
-          "translations, rotations, dilations and the inversion act by their chart formulas",
-          1e-9, 1000, p_generator_actions),
-        P("form_preservation_drift", "automorphisms", "projective",
-          "compositions keep preserving the Hermitian form within drift bounds",
-          1e-10, 200, p_form_preservation),
-        P("crt_moebius_invariance", "automorphisms", "core",
-          "cross-ratio triples are invariant under boundary automorphisms",
-          1e-9, 2000, p_crt_invariance),
-        P("crt_cross_model_agreement", "automorphisms", "projective",
-          "chart and projective cross-ratio triples agree",
-          1e-9, 10000, p_crt_cross_model),
-        P("conjugation_preserves_circles", "automorphisms", "projective",
-          "automorphisms map chains to chains and R-circles to R-circles",
-          1e-8, 500, p_conjugation_circles),
-        P("reflection_involution_fixedset", "automorphisms", "projective",
-          "chain reflections are involutions fixing the chain and its crossing R-circles",
-          1e-8, 500, p_reflection_involution),
-        P("lift_drop_roundtrip", "automorphisms", "projective",
-          "null lifts are null, projectively stable, and invert back to the point",
-          1e-10, 2000, p_lift_roundtrip),
-    ]
-
-
-REGISTRY = _props()
 
 SUITE_NAMES = list(dict.fromkeys(p.suite for p in REGISTRY))
 

@@ -25,15 +25,15 @@ from chgeom.foliation import Polygon, tau
 from chgeom.ortho import intercept_distances, positive_root
 from chgeom.projective import crt_projective
 from chgeom.properties import (
-    p_busemann,
-    p_base_parallelogram,
-    p_conjugate_pole,
-    p_ec_uniqueness,
-    p_er_existence_uniqueness,
-    p_join_decompose,
-    p_moebius_involution_crt,
-    p_oc_harmonicity,
-    p_or_harmonicity,
+    busemann_affine_fibers,
+    base_parallelogram_law,
+    conjugate_pole_cocircular,
+    ec_uniqueness,
+    er_existence_uniqueness,
+    join_decompose_radius,
+    moebius_involution_crt_identity,
+    oc_harmonicity,
+    or_harmonicity,
 )
 from chgeom.sampling import (
     random_moebius,
@@ -256,11 +256,11 @@ def test_criterion_ptolemy():
 def test_criterion_axiom_suites():
     results = {}
     for k in (2, 3):
-        results[f"E_C k={k}"] = _run_property(p_ec_uniqueness, k, 1000, label=1)
-        results[f"E_R k={k}"] = _run_property(p_er_existence_uniqueness, k, 1000,
+        results[f"E_C k={k}"] = _run_property(ec_uniqueness, k, 1000, label=1)
+        results[f"E_R k={k}"] = _run_property(er_existence_uniqueness, k, 1000,
                                               label=2)
-        results[f"O_C k={k}"] = _run_property(p_oc_harmonicity, k, 1000, label=3)
-        results[f"O_R k={k}"] = _run_property(p_or_harmonicity, k, 1000, label=4)
+        results[f"O_C k={k}"] = _run_property(oc_harmonicity, k, 1000, label=3)
+        results[f"O_R k={k}"] = _run_property(or_harmonicity, k, 1000, label=4)
     worst = max(results.values())
     _report("incidence and orthogonality axiom suites (10^3 per k in {2,3})",
             worst <= 1e-8,
@@ -269,10 +269,10 @@ def test_criterion_axiom_suites():
 
 
 def test_criterion_conjugate_pole():
-    worst = _run_property(p_conjugate_pole, 2, 100, label=5)
-    worst = max(worst, _run_property(p_conjugate_pole, 3, 100, label=6))
-    worst_crt = max(_run_property(p_moebius_involution_crt, 2, 500, label=7),
-                    _run_property(p_moebius_involution_crt, 3, 500, label=8))
+    worst = _run_property(conjugate_pole_cocircular, 2, 100, label=5)
+    worst = max(worst, _run_property(conjugate_pole_cocircular, 3, 100, label=6))
+    worst_crt = max(_run_property(moebius_involution_crt_identity, 2, 500, label=7),
+                    _run_property(moebius_involution_crt_identity, 3, 500, label=8))
     _report("conjugate pole suite (200 pairs, 10 chain points each)",
             worst <= 1e-8 and worst_crt <= 1e-9,
             f"harmonic/co-circular residual {worst:.3e} (tol 1e-8), "
@@ -326,10 +326,10 @@ def test_criterion_holonomy_lift():
 
 
 def test_criterion_base_suite():
-    worst_par = max(_run_property(p_base_parallelogram, 2, 500, label=9),
-                    _run_property(p_base_parallelogram, 3, 500, label=10))
-    worst_bus = max(_run_property(p_busemann, 2, 150, label=11),
-                    _run_property(p_busemann, 3, 150, label=12))
+    worst_par = max(_run_property(base_parallelogram_law, 2, 500, label=9),
+                    _run_property(base_parallelogram_law, 3, 500, label=10))
+    worst_bus = max(_run_property(busemann_affine_fibers, 2, 150, label=11),
+                    _run_property(busemann_affine_fibers, 3, 150, label=12))
     _report("base geometry (parallelogram law, Busemann affineness/constancy)",
             worst_par <= 1e-10 and worst_bus <= 1e-6,
             f"parallelogram residual {worst_par:.3e} (tol 1e-10), "
@@ -337,7 +337,7 @@ def test_criterion_base_suite():
 
 
 def test_criterion_join_suite():
-    worst_join = _run_property(p_join_decompose, 2, 1000, label=13)
+    worst_join = _run_property(join_decompose_radius, 2, 1000, label=13)
     rng = np.random.default_rng(515)
     worst_alg = 0.0
     worst_root = 0.0

@@ -19,6 +19,7 @@ from chgeom.harness import (
     replay,
     run_suite,
 )
+from chgeom import properties
 from chgeom.properties import REGISTRY, SUITE_NAMES, suite_properties
 
 
@@ -35,6 +36,10 @@ def test_registry_binding_complete():
     assert modules == {"core", "projective", "circles", "foliation",
                        "ortho", "tangent"}
     assert suite_properties("all") == list(REGISTRY)
+    # each law is registered under the name of the function that defines it
+    for p in REGISTRY:
+        assert p.fn.__name__ == p.name
+        assert getattr(properties, p.name) is p.fn
 
 
 def test_registry_statements_and_tolerances():

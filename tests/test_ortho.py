@@ -36,6 +36,7 @@ from chgeom.ortho import (
     positive_root,
     standard_rcircle,
 )
+from chgeom.properties import fixset_equals_intersection
 from chgeom.sampling import (
     canonical_chain,
     sample_ortho_complement,
@@ -94,6 +95,17 @@ def test_ortho_contains_reads_only_the_three_point_residual(space, rng, monkeypa
     monkeypatch.setattr(Sphere, "membership_residual",
                         lambda s, p: calls.append(p) or original(s, p))
     assert [ortho_contains(A, u) for u in on + off] == expected
+    assert calls == []
+
+
+def test_fixset_law_evaluates_no_sphere_residual(monkeypatch):
+    calls = []
+    original = Sphere.membership_residual
+    monkeypatch.setattr(Sphere, "membership_residual",
+                        lambda s, p: calls.append(p) or original(s, p))
+    cfg = SpaceConfig(k=3)
+    for i in range(5):
+        fixset_equals_intersection(cfg, np.random.default_rng(i))
     assert calls == []
 
 
@@ -182,12 +194,16 @@ def test_intercept_distances_reject_non_finite_data():
     for data in ((1.0, 1.0, math.inf), (math.inf, 1.0, 1.0), (1.0, math.nan, 1.0)):
         with pytest.raises(GeometryError, match="positive and finite"):
             intercept_distances(*data)
+    # finite positive data whose arithmetic overflows or underflows
+    for data in ((1e100, 1.0, 1.0), (1.0, 1e-200, 1.0)):
+        with pytest.raises(GeometryError, match="floating-point range"):
+            intercept_distances(*data)
 
 
 def test_join_decompose_canonical(canonical_complement):
     A = canonical_complement
     u = point([0.5], 0.5)
-    dec = join_decompose(A.F, A.eta, A, u, infinity(2))
+    dec = join_decompose(A, u, infinity(2))
     assert dec.rho == pytest.approx(1.0, abs=1e-12)
     assert dec.a == pytest.approx(0.5, abs=1e-12)
     assert dec.b == pytest.approx(math.sqrt(0.5), abs=1e-12)
@@ -199,7 +215,7 @@ def test_join_decompose_canonical(canonical_complement):
     assert dec.x.t > 0
     # on the R-line through o the pair degenerates to (o, omega)
     u = point([0.5], 0.0)
-    dec = join_decompose(A.F, A.eta, A, u, infinity(2))
+    dec = join_decompose(A, u, infinity(2))
     assert dec.yo == math.inf
     assert chordal_sq(dec.x, origin(2)) < 1e-15
     assert dist_w(infinity(2), dec.w, u) == pytest.approx(dec.r, rel=1e-12)
@@ -213,7 +229,7 @@ def test_join_decompose_generic(space, rng):
         u = sample_point(space, rng)
         if A.F.membership_residual(u) < 1e-3:
             continue
-        dec = join_decompose(A.F, A.eta, A, u, omega)
+        dec = join_decompose(A, u, omega)
         if dec.b < 1e-6:
             continue
         assert dist_w(omega, dec.w, u) == pytest.approx(dec.r, rel=1e-9)
@@ -225,7 +241,7 @@ def test_join_decompose_generic(space, rng):
 def test_join_decompose_rejects_chain_points(canonical_complement):
     A = canonical_complement
     with pytest.raises(GeometryError):
-        join_decompose(A.F, A.eta, A, point([0], 2.0), infinity(2))
+        join_decompose(A, point([0], 2.0), infinity(2))
 
 
 def test_positive_root_values():
@@ -254,21 +270,16 @@ def test_positive_root_against_polynomial_solver(rng):
 
 def test_standard_rcircle_canonical(canonical_complement):
     A = canonical_complement
-    std = standard_rcircle(A.F, A, point([1], 0.0), infinity(2))
+    std = standard_rcircle(A, point([1], 0.0), infinity(2))
     assert chordal_sq(std.v, origin(2)) < 1e-12
     assert chordal_sq(std.y, point([-1], 0.0)) < 1e-12
     assert harmonicity_residual(std.u, std.x, std.v, std.y) < 1e-10
     assert std.sigma.membership_residual(std.y) < 1e-12
     with pytest.raises(GeometryError):
-        standard_rcircle(A.F, A, point([0], 1.0), infinity(2))
-    # x must lie on F_prime, a complement or a chain; None skips the check
+        standard_rcircle(A, point([0], 1.0), infinity(2))
+    # x must lie on the complement
     with pytest.raises(GeometryError, match="orthogonal subspace"):
-        standard_rcircle(A.F, A, point([2], 0.0), infinity(2))
-    far_chain = ccircle_through(point([3], 0.0), point([3], 1.0))
-    with pytest.raises(GeometryError, match="orthogonal subspace"):
-        standard_rcircle(A.F, far_chain, point([1], 0.0), infinity(2))
-    std = standard_rcircle(A.F, None, point([2], 0.0), infinity(2))
-    assert std.sigma.membership_residual(point([2], 0.0)) < 1e-12
+        standard_rcircle(A, point([2], 0.0), infinity(2))
 
 
 def test_standard_rcircles_meet_in_chain_only(space, rng):
@@ -277,8 +288,8 @@ def test_standard_rcircles_meet_in_chain_only(space, rng):
     x1, x2 = A.sample_points(2, rng)
     if chordal_sq(x1, x2) < 1e-4 or chordal_sq(x1, conjugate_pole(A.F, x2)) < 1e-4:
         pytest.skip("sampled subspace points coincide")
-    s1 = standard_rcircle(A.F, A, x1, u)
-    s2 = standard_rcircle(A.F, A, x2, u)
+    s1 = standard_rcircle(A, x1, u)
+    s2 = standard_rcircle(A, x2, u)
     assert s2.sigma.membership_residual(s1.u) < 1e-8
     assert s2.sigma.membership_residual(s1.v) < 1e-8
     for s in (-1.3, 0.6, 1.9):

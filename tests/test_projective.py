@@ -121,7 +121,8 @@ def test_rotation_rejects_non_finite_matrix():
 
 
 def test_dilation_rejects_non_finite_coefficient():
-    for lam in (math.inf, math.nan):
+    # 1e-320 is subnormal: its reciprocal overflows to infinity
+    for lam in (math.inf, math.nan, 1e-320):
         with pytest.raises(GeometryError, match="positive and finite"):
             make_dilation(lam, 2)
 
