@@ -7,9 +7,11 @@ on the order of the trials or on their number, and any failing sample
 is replayable with ``--replay suite:seed:index --dim k`` (plus the
 run's ``--tol``, if one was given).  ``--replay`` is a run of that one
 trial, judged by the same code as the run.  Trials run one after
-another in one thread.  A trial that raises, or returns a non-finite
-residual, fails its property: the report names the exception (or the
-residual) and the trial index, and the property runs no further trials.
+another in one thread; a batched law draws them one by one and
+evaluates them in blocks, and a replayed trial as a batch of one.  A
+trial that raises, or returns a non-finite residual, fails its
+property: the report names the exception (or the residual) and the
+trial index, and no later trial is judged.
 
 The seed must be >= 0 and ``--tol`` positive and finite; ``--format``
 only selects how the report is printed.
@@ -49,6 +51,10 @@ REFERENCE_TRIALS = 10000
 
 # how a report's ``error`` names a trial that returned NaN or infinity
 _NON_FINITE = "non-finite residual"
+
+# trials a batched law evaluates per call: enough to spread numpy's
+# per-call cost, few enough that a block's arrays stay small
+BLOCK_TRIALS = 64
 
 
 class UsageError(Exception):
@@ -162,7 +168,14 @@ def _effective_trials(prop: Property, trials: int) -> int:
 
 def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig,
                   indices: range) -> PropertyReport:
-    """Run the trials ``indices`` of one property and judge them."""
+    """Run the trials ``indices`` of one property and judge them.
+
+    A batched law draws each trial's inputs with ``prop.fn``, one call
+    per trial, and evaluates them in blocks of up to BLOCK_TRIALS with
+    ``prop.batched``, one call per block.  If a block raises, its trials
+    are re-run one at a time, as batches of one, so that the report
+    names the first trial that raises.
+    """
     space = SpaceConfig(k=cfg.k)
     tol = cfg.tol if cfg.tol is not None else prop.tol
     if cfg.k < prop.min_k:
@@ -171,12 +184,34 @@ def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig,
             tol=tol, trials=0, max_residual=0.0, worst_trial=-1,
             passed=True, skipped=True,
         )
-    worst, worst_i, error = 0.0, -1, None
-    for i in indices:
+
+    def run(trials):  # one residual per trial
+        out = [prop.fn(space, _trial_rng(cfg.seed, prop_index, i)) for i in trials]
+        if prop.batched is None:  # fn gave the residuals
+            return [float(r) for r in out]
+        r = np.asarray(prop.batched(space, out), dtype=float)  # fn gave the draws
+        if r.shape != (len(trials),):
+            raise ValueError(f"{len(trials)} trials gave residuals of shape {r.shape}")
+        return r.tolist()
+
+    def attempt(trials):  # (trial, residual or the exception it raised)
         try:
-            r = float(prop.fn(space, _trial_rng(cfg.seed, prop_index, i)))
+            residuals = run(trials)
         except Exception as exc:  # a raising trial fails its property, not the run
-            worst_i, error = i, f"{type(exc).__name__}: {exc}"
+            if len(trials) == 1:
+                yield trials[0], exc
+            else:
+                for i in trials:
+                    yield from attempt(range(i, i + 1))
+            return
+        yield from zip(trials, residuals)
+
+    step = 1 if prop.batched is None else BLOCK_TRIALS
+    worst, worst_i, error = 0.0, -1, None
+    for i, r in (out for start in range(0, len(indices), step)
+                 for out in attempt(indices[start:start + step])):
+        if isinstance(r, Exception):
+            worst_i, error = i, f"{type(r).__name__}: {r}"
             break
         if not math.isfinite(r):  # fails like a raising trial; r > worst misses NaN
             worst_i, error = i, f"{_NON_FINITE} {r}"

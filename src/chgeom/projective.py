@@ -399,12 +399,13 @@ def crt_projective(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint,
     return CrossRatioTriple.from_components(a, b, c)
 
 
+@lru_cache(maxsize=None)
 def distance_pairing_constant(k: int) -> float:
     """Calibration constant c0 in dist^2 = c0 |<X_p, X_q>| / (|<X_p, W>| |<X_q, W>|).
 
     Computed from anchor pairs (vertical, unit horizontal where available)
     and checked to be mutually consistent; equals 2 in this model for
-    every k.
+    every k.  Cached per k.
     """
     W = lift(infinity(k))
     anchors = [(origin(k), point(np.zeros(k - 1), 4.0))]

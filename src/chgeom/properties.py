@@ -1,11 +1,21 @@
 """Registered verification properties, one per geometric invariant.
 
-Each property is a single-trial function ``fn(cfg, rng) -> residual``
+A per-trial property is a function ``fn(cfg, rng) -> residual``
 drawing its own configuration from the generator; the harness runs it
 over independent per-trial streams and compares the worst residual with
 the property's tolerance.  Residuals are normalized (relative to the
 largest term of the identity under test, or squared-chordal for point
 coincidences), so tolerances are dimensionless.
+
+A batched law is declared with ``@_law(..., batched=block)``.  The
+decorated function, its ``fn(cfg, rng)``, then returns the trial's draw
+instead of its residual: it draws the trial's inputs from the trial's
+own generator, in the order a per-trial form of the law would, and does
+any per-trial work that has no bit-identical stacked form.  ``block(cfg,
+draws) -> residuals`` evaluates a block of draws, in trial order, on
+stacked arrays and returns one residual per draw.  A trial's residual
+is the same in a batch of one as in any block, since replay runs a
+batch of one.
 
 A law is declared where it is written: ``@_law(suite, module, tol,
 base_trials, statement)`` appends it to ``REGISTRY`` under its function
@@ -26,7 +36,6 @@ from . import foliation as fo
 from . import tangent as tg
 from .core import (
     CrossRatioTriple,
-    SpaceConfig,
     chordal_sq,
     crt,
     dist,
@@ -101,18 +110,19 @@ class Property:
     statement: str
     tol: float
     base_trials: int
-    fn: Callable[[SpaceConfig, np.random.Generator], float]
+    fn: Callable   # (cfg, rng) -> residual, or the trial's draw if batched
     min_k: int = 1
+    batched: Callable | None = None   # (cfg, draws) -> one residual per draw
 
 
 REGISTRY: list[Property] = []
 
 
-def _law(suite, module, tol, base_trials, statement, min_k=1):
+def _law(suite, module, tol, base_trials, statement, min_k=1, batched=None):
     """Register the decorated function as the law named after it."""
     def register(fn):
         REGISTRY.append(Property(fn.__name__, suite, module, statement, tol,
-                                 base_trials, fn, min_k))
+                                 base_trials, fn, min_k, batched))
         return fn
     return register
 
@@ -741,81 +751,144 @@ def curvature_golden_values(cfg, rng):
     return max(abs(got - want) for got, want in checks)
 
 
-def _random_tangent(cfg, rng):
-    return rng.standard_normal(cfg.k) + 1j * rng.standard_normal(cfg.k)
+def _draw_tangents(cfg, rng, m):
+    # m random tangent vectors: the real and then the imaginary parts of
+    # each vector in turn, in one call on the trial's generator
+    return rng.standard_normal(2 * m * cfg.k)
+
+
+def _tangents(cfg, draws):
+    """The drawn tangent vectors as m stacks of shape (trials, k)."""
+    g = np.array(draws)
+    g = g.reshape(len(g), -1, 2, cfg.k)
+    return np.ascontiguousarray((g[:, :, 0] + 1j * g[:, :, 1]).transpose(1, 0, 2))
+
+
+def _curvature_symmetries(cfg, draws):
+    x, y, z, w = _tangents(cfg, draws)
+    r = tg.riem
+    rxyzw = r(x, y, z, w)
+    scale = np.maximum(1.0, abs(rxyzw))   # >= 1: no floor needed, unlike _rel
+    worst = abs(rxyzw + r(y, x, z, w)) / scale
+    worst = np.maximum(worst, abs(rxyzw + r(x, y, w, z)) / scale)
+    worst = np.maximum(worst, abs(rxyzw - r(z, w, x, y)) / scale)
+    bianchi = rxyzw + r(y, z, x, w) + r(z, x, y, w)
+    return np.maximum(worst, abs(bianchi) / scale)
 
 
 @_law("holonomy", "tangent", 1e-12, 2000,
-      "the curvature tensor has all its symmetries and satisfies the Bianchi sum")
+      "the curvature tensor has all its symmetries and satisfies the Bianchi sum",
+      batched=_curvature_symmetries)
 def curvature_symmetries(cfg, rng):
-    x, y, z, w = (_random_tangent(cfg, rng) for _ in range(4))
-    r = tg.riem
-    rxyzw = r(x, y, z, w)
-    scale = max(1.0, abs(rxyzw))
-    worst = _rel(rxyzw + r(y, x, z, w), scale)
-    worst = max(worst, _rel(rxyzw + r(x, y, w, z), scale))
-    worst = max(worst, _rel(rxyzw - r(z, w, x, y), scale))
-    bianchi = rxyzw + r(y, z, x, w) + r(z, x, y, w)
-    return max(worst, _rel(bianchi, scale))
+    return _draw_tangents(cfg, rng, 4)
+
+
+def _polarization_identity(cfg, draws):
+    x, y, z, w = _tangents(cfg, draws)
+    lhs = tg.riem_polarized(x, y, z, w)
+    rhs = 6.0 * tg.riem(x, y, z, w)
+    return abs(lhs - rhs) / np.maximum(np.maximum(1.0, abs(lhs)), abs(rhs))
 
 
 @_law("holonomy", "tangent", 1e-10, 1000,
-      "the 14-term polarization equals six times the tensor")
+      "the 14-term polarization equals six times the tensor",
+      batched=_polarization_identity)
 def polarization_identity(cfg, rng):
-    x, y, z, w = (_random_tangent(cfg, rng) for _ in range(4))
-    lhs = tg.riem_polarized(x, y, z, w)
-    rhs = 6.0 * tg.riem(x, y, z, w)
-    return _rel(lhs - rhs, max(1.0, abs(lhs), abs(rhs)))
+    return _draw_tangents(cfg, rng, 4)
+
+
+def _curvature_operator_spectrum(cfg, draws):
+    (u,) = _tangents(cfg, draws)
+    evals = tg.curvature_operator_spectrum(u)
+    target = np.concatenate([[-4.0], -np.ones(2 * cfg.k - 2), [0.0]])
+    return np.max(np.abs(evals - target), axis=-1)
 
 
 @_law("holonomy", "tangent", 1e-10, 300,
-      "the curvature operator has eigenvalues -4 (once) and -1 (2k-2 times)")
+      "the curvature operator has eigenvalues -4 (once) and -1 (2k-2 times)",
+      batched=_curvature_operator_spectrum)
 def curvature_operator_spectrum(cfg, rng):
-    evals = tg.curvature_operator_spectrum(_random_tangent(cfg, rng))
-    target = np.concatenate([[-4.0], -np.ones(2 * cfg.k - 2), [0.0]])
-    return float(np.max(np.abs(evals - target)))
+    return _draw_tangents(cfg, rng, 1)
+
+
+def _holonomy_identity(cfg, draws):
+    x, y, z, u = np.ascontiguousarray(np.array(draws).transpose(1, 0, 2))
+    return tg._norms(tg.riem_vec(x, y, z) - 2.0 * u)
 
 
 @_law("holonomy", "tangent", 1e-12, 1000,
-      "R(x, Jx) z = 2 Jz for z in the complex orthogonal complement", min_k=2)
+      "R(x, Jx) z = 2 Jz for z in the complex orthogonal complement", min_k=2,
+      batched=_holonomy_identity)
 def holonomy_identity(cfg, rng):
-    x, y, z, u, _ = tg.adapted_frame(cfg.k, rng)
-    return float(np.linalg.norm(tg.riem_vec(x, y, z) - 2.0 * u))
+    # x, Jx, z and Jz of a random adapted frame, built per trial because
+    # its BLAS norms and np.vdot have no bit-identical stacked form
+    return tg.adapted_frame(cfg.k, rng)[:4]
+
+
+def _sectional_bounds(cfg, draws):
+    u, v = _tangents(cfg, draws)
+    K = tg.sectional(u, v)
+    return np.maximum(np.maximum(0.0, -4.0 - K), K + 1.0)
 
 
 @_law("holonomy", "tangent", 1e-10, 2000,
-      "sectional curvatures stay pinched between -4 and -1")
+      "sectional curvatures stay pinched between -4 and -1", batched=_sectional_bounds)
 def sectional_bounds(cfg, rng):
-    u, v = _random_tangent(cfg, rng), _random_tangent(cfg, rng)
-    K = tg.sectional(u, v)
-    return max(0.0, -4.0 - K, K + 1.0)
+    return _draw_tangents(cfg, rng, 2)
 
 
-@_law("holonomy", "tangent", 1e-10, 1000,
-      "words of unitary reflections act transitively on the unit sphere")
-def unitary_reflection_transitivity(cfg, rng):
-    u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-    word = tg.reflection_word(u, v)
-    M = tg.word_matrix(word)
-    worst = float(np.linalg.norm(M @ u - v))
-    I = np.eye(2, dtype=complex)
-    for r in word:
-        R = r.matrix()
-        worst = max(worst, float(np.max(np.abs(R @ R - I))))
-        worst = max(worst, abs(np.linalg.det(R) + 1.0))
-        svals = np.linalg.svd(I - R, compute_uv=False)
-        worst = max(worst, abs(svals[0] - 2.0), float(svals[1]))
-    if len(word) >= 2:
-        worst = max(worst, abs(np.linalg.det(word[1].matrix() @ word[0].matrix()) - 1.0))
+def _modulus(z):
+    # |z| as abs() computes it on one numpy complex; np.abs of an array
+    # rounds differently in the last bit
+    return np.hypot(z.real, z.imag)
+
+
+def _rotation_order_residual(q: int) -> float:
     # rational-angle rotation pairs have finite order
-    q = int(rng.integers(2, 8))
     f1 = np.array([1.0, 0.0], dtype=complex)
     f2 = np.array([0.0, 1.0], dtype=complex)
     rot = tg.word_matrix(tg.rotation_reflections(2.0 * math.pi / q, f1, f2))
     power = np.linalg.matrix_power(rot, q)
-    return max(worst, float(np.max(np.abs(power - I))))
+    return float(np.max(np.abs(power - np.eye(2, dtype=complex))))
+
+
+def _unitary_reflection_transitivity(cfg, draws):
+    us, vs, words, qs = zip(*draws)
+    I = np.eye(2, dtype=complex)
+    # a word is empty (u = v) or has four letters; an empty word acts as I
+    full = np.array([len(w) == 4 for w in words])
+    M = np.tile(I, (len(us), 1, 1))
+    worst = np.zeros(len(us))
+    if full.any():
+        R = tg._reflection_matrix(np.array([w for w in words if w]))  # (trials, 4, 2, 2)
+        word = I
+        for j in range(4):
+            word = word @ R[:, j]
+        M[full] = word
+        svals = np.linalg.svd(I - R, compute_uv=False)
+        letters = np.max([
+            np.max(np.abs(R @ R - I), axis=(-2, -1)),
+            _modulus(np.linalg.det(R) + 1.0),
+            abs(svals[..., 0] - 2.0),
+            svals[..., 1],
+        ], axis=(0, 2))
+        worst[full] = np.maximum(letters, _modulus(np.linalg.det(R[:, 1] @ R[:, 0]) - 1.0))
+    moved = (M @ np.array(us)[..., None])[..., 0] - np.array(vs)
+    worst = np.maximum(worst, tg._norms(moved))
+    rotation = {q: _rotation_order_residual(q) for q in set(qs)}
+    return np.maximum(worst, [rotation[q] for q in qs])
+
+
+@_law("holonomy", "tangent", 1e-10, 1000,
+      "words of unitary reflections act transitively on the unit sphere",
+      batched=_unitary_reflection_transitivity)
+def unitary_reflection_transitivity(cfg, rng):
+    # unit vectors u and v, the lines of the reflection word taking u to
+    # v (built per trial) and a rotation order q
+    g = rng.standard_normal(8)
+    u, v = g[0:2] + 1j * g[2:4], g[4:6] + 1j * g[6:8]
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    return u, v, [r.line for r in tg.reflection_word(u, v)], int(rng.integers(2, 8))
 
 
 @_law("ortho", "ortho", 1e-8, 1000,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,13 +46,15 @@ __all__ = [
 ]
 
 # Tangent vectors are complex ndarrays of shape (k,); the real dimension
-# of the model is 2k.
+# of the model is 2k.  The curvature kernel is batch-first: it acts on
+# stacks of shape (..., k) along the last axis, and a single vector is
+# the batch of one.
 TangentVector = np.ndarray
 
 
-def inner(u: TangentVector, v: TangentVector) -> float:
-    """Real inner product Re<u, v> of the underlying metric."""
-    return float((u * v.conj()).sum().real)
+def inner(u: TangentVector, v: TangentVector):
+    """Real inner product Re<u, v> of the underlying metric, per row."""
+    return (u * v.conj()).sum(axis=-1).real
 
 
 def J(v: TangentVector) -> TangentVector:
@@ -59,25 +62,30 @@ def J(v: TangentVector) -> TangentVector:
     return 1j * v
 
 
+def _col(a):
+    # one real number per row, broadcast along the row
+    return np.asarray(a)[..., None]
+
+
 def riem_vec(x: TangentVector, y: TangentVector, z: TangentVector) -> TangentVector:
     """The curvature vector R(x, y) z of the complex space form."""
     Jx, Jy = J(x), J(y)
     return -(
-        inner(y, z) * x
-        - inner(x, z) * y
-        + inner(Jy, z) * Jx
-        - inner(Jx, z) * Jy
-        - 2.0 * inner(Jx, y) * J(z)
+        _col(inner(y, z)) * x
+        - _col(inner(x, z)) * y
+        + _col(inner(Jy, z)) * Jx
+        - _col(inner(Jx, z)) * Jy
+        - 2.0 * _col(inner(Jx, y)) * J(z)
     )
 
 
 def riem(x: TangentVector, y: TangentVector, z: TangentVector,
-         w: TangentVector) -> float:
+         w: TangentVector):
     """The (4,0) curvature tensor <R(x, y) z, w>."""
     return inner(riem_vec(x, y, z), w)
 
 
-def sec_k(p: TangentVector, q: TangentVector) -> float:
+def sec_k(p: TangentVector, q: TangentVector):
     """Unnormalized biquadratic form <R(p, q) q, p>.
 
     Equals the sectional curvature for orthonormal p, q and scales as
@@ -86,10 +94,20 @@ def sec_k(p: TangentVector, q: TangentVector) -> float:
     return riem(p, q, q, p)
 
 
-def sectional(u: TangentVector, v: TangentVector) -> float:
-    """Sectional curvature of the plane spanned by independent u, v."""
-    denom = inner(u, u) * inner(v, v) - inner(u, v) ** 2
-    if denom <= 1e-14 * max(inner(u, u) * inner(v, v), 1e-300):
+def _pow2(a):
+    # a ** 2 through C pow, as on Python floats; numpy rounds a * a,
+    # which differs in the last bit for about one value in 1,200
+    return np.reshape([t ** 2 for t in np.ravel(a).tolist()], np.shape(a))
+
+
+def sectional(u: TangentVector, v: TangentVector):
+    """Sectional curvature of the planes spanned by independent u, v.
+
+    Raises if any plane of the batch is degenerate.
+    """
+    uu_vv = inner(u, u) * inner(v, v)
+    denom = uu_vv - _pow2(inner(u, v))
+    if np.any(denom <= 1e-14 * np.maximum(uu_vv, 1e-300)):
         raise GeometryError("sectional curvature needs independent vectors")
     return sec_k(u, v) / denom
 
@@ -101,39 +119,57 @@ def euler_interp(K0: float, K_half_pi: float, alpha: float) -> float:
 
 
 def riem_polarized(x: TangentVector, y: TangentVector, z: TangentVector,
-                   w: TangentVector) -> float:
-    """The 14-term polarization of the tensor: equals 6 <R(x, y) z, w>."""
-    k = sec_k
-    return (
-        k(x + w, y + z) - k(y + w, x + z)
-        - k(x + w, y) - k(x + w, z) - k(x, y + z) - k(w, y + z)
-        + k(y + w, x) + k(y + w, z) + k(y, x + z) + k(w, x + z)
-        + k(x, z) + k(w, y) - k(y, z) - k(w, x)
-    )
+                   w: TangentVector):
+    """The 14-term polarization of the tensor: equals 6 <R(x, y) z, w>.
+
+    The terms are evaluated as one stack and summed left to right.
+    """
+    xw, yw, yz, xz = x + w, y + w, y + z, x + z
+    terms = [(+1, xw, yz), (-1, yw, xz), (-1, xw, y), (-1, xw, z), (-1, x, yz),
+             (-1, w, yz), (+1, yw, x), (+1, yw, z), (+1, y, xz), (+1, w, xz),
+             (+1, x, z), (+1, w, y), (-1, y, z), (-1, w, x)]
+    signs, p, q = zip(*terms)
+    ks = sec_k(np.stack(p), np.stack(q))
+    total = ks[0]
+    for sign, term in zip(signs[1:], ks[1:]):
+        total = total + term if sign > 0 else total - term
+    return total
 
 
-def _real_basis(k: int):
+@lru_cache(maxsize=None)
+def _real_basis(k: int) -> np.ndarray:
+    # rows e_1, i e_1, ..., e_k, i e_k of the real tangent model
     basis = []
     for i in range(k):
         e = np.zeros(k, dtype=complex)
         e[i] = 1.0
         basis.append(e)
         basis.append(1j * e)
+    basis = np.array(basis)
+    basis.setflags(write=False)
     return basis
 
 
+def _norms(a):
+    # np.linalg.norm of each row: a BLAS call per row, as on one vector,
+    # because a stacked norm sums in another order
+    return np.reshape([np.linalg.norm(r) for r in np.reshape(a, (-1, a.shape[-1]))],
+                      a.shape[:-1])
+
+
 def curvature_operator_spectrum(u: TangentVector) -> np.ndarray:
-    """Sorted eigenvalues of v -> R(v, u) u on the real tangent model.
+    """Sorted eigenvalues of v -> R(v, u) u on the real tangent model, per row.
 
     For unit u the operator kills u itself and acts on the orthogonal
     complement with eigenvalue -4 on Ju and -1 on the remaining 2k - 2
     directions, so the sorted spectrum is (-4, -1, ..., -1, 0).
     """
-    u = u / np.linalg.norm(u)
-    k = u.shape[0]
-    basis = _real_basis(k)
-    M = np.array([[inner(riem_vec(e, u, u), f) for e in basis] for f in basis])
-    return np.sort(np.linalg.eigvalsh(M))
+    u = u / _col(_norms(u))
+    basis = _real_basis(u.shape[-1])
+    # column e of the operator, once per basis vector
+    cols = np.stack([riem_vec(e, u, u) for e in basis], axis=-2)
+    M = inner(cols[..., None, :, :], basis[:, None, :])   # M[..., f, e] = <R(e,u)u, f>
+    return np.sort(np.linalg.eigvalsh(M), axis=-1)
 
 
 def adapted_frame(k: int, rng=None):
@@ -201,8 +237,13 @@ class UnitaryReflection:
     line: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        w = self.line / np.linalg.norm(self.line)
-        return 2.0 * np.outer(w, np.conj(w)) - np.eye(2, dtype=complex)
+        return _reflection_matrix(self.line)
+
+
+def _reflection_matrix(lines: np.ndarray) -> np.ndarray:
+    """Matrices of the unitary involutions fixing the complex lines ``lines``, per row."""
+    w = lines / _col(_norms(lines))
+    return 2.0 * (w[..., :, None] * w.conj()[..., None, :]) - np.eye(2, dtype=complex)
 
 
 def word_matrix(word) -> np.ndarray:

@@ -6,15 +6,17 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from chgeom.core import GeometryError
+from chgeom.core import GeometryError, SpaceConfig
 from chgeom.harness import (
     REPORT_SCHEMA,
     SuiteConfig,
     UsageError,
     _effective_trials,
     _run_property,
+    _trial_rng,
     main,
     replay,
     run_suite,
@@ -180,7 +182,7 @@ def _raises_at_trial_3(cfg, rng):
 def test_raising_trial_fails_its_property(capsys):
     i = next(i for i, p in enumerate(REGISTRY) if p.name == "sectional_bounds")
     saved = REGISTRY[i]
-    REGISTRY[i] = replace(saved, fn=_raises_at_trial_3)
+    REGISTRY[i] = replace(saved, fn=_raises_at_trial_3, batched=None)
     try:
         rep = run_suite(SuiteConfig(suite="holonomy", k=2, trials=100, seed=5))
         code = main(["--suite", "holonomy", "--dim", "2", "--trials", "100",
@@ -202,6 +204,102 @@ def test_raising_trial_fails_its_property(capsys):
     assert "raised GeometryError: injected at trial 3" in replayed
 
 
+def _trial_index(cfg, rng):
+    # a draw that is the trial's index
+    return rng.bit_generator.seed_seq.entropy[-1]
+
+
+def _block_raises_at_trial_3(cfg, draws):
+    if 3 in draws:
+        raise GeometryError("injected at trial 3")
+    return np.zeros(len(draws))
+
+
+def _run_with_sectional_bounds(fn, batched, capsys):
+    # the holonomy report without its wall time, and the replay of trial 3
+    i = next(i for i, p in enumerate(REGISTRY) if p.name == "sectional_bounds")
+    saved = REGISTRY[i]
+    REGISTRY[i] = replace(saved, fn=fn, batched=batched)
+    try:
+        rep = run_suite(SuiteConfig(suite="holonomy", k=2, trials=100, seed=5)).as_dict()
+        code = replay("holonomy:5:3", k=2)
+    finally:
+        REGISTRY[i] = saved
+    rep.pop("wall_ms")
+    return rep, code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fn, batched", [
+    (_trial_index, _block_raises_at_trial_3),        # the block evaluation raises
+    (_raises_at_trial_3, lambda cfg, draws: draws),  # trial 3's draw raises
+])
+def test_batched_raising_trial_reports_like_per_trial(fn, batched, capsys):
+    # the block raises, so its trials are re-run one at a time
+    per_trial = _run_with_sectional_bounds(_raises_at_trial_3, None, capsys)
+    block = _run_with_sectional_bounds(fn, batched, capsys)
+    assert block == per_trial
+    failing = {p["name"]: p for p in block[0]["properties"]}["sectional_bounds"]
+    assert failing["worst_trial"] == 3
+    assert failing["error"] == "GeometryError: injected at trial 3"
+    assert block[1] == 1 and "raised GeometryError: injected at trial 3" in block[2]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_batched_non_finite_row_fails_at_its_trial(bad, capsys):
+    def residual(trial):
+        return {1: 1e-13, 3: bad}.get(trial, 0.0)
+
+    per_trial = _run_with_sectional_bounds(
+        lambda cfg, rng: residual(_trial_index(cfg, rng)), None, capsys)
+    block = _run_with_sectional_bounds(
+        _trial_index, lambda cfg, draws: np.array([residual(t) for t in draws]), capsys)
+    assert block == per_trial
+    failing = {p["name"]: p for p in block[0]["properties"]}["sectional_bounds"]
+    assert failing["worst_trial"] == 3 and failing["max_residual"] == 1e-13
+    assert failing["error"] == f"non-finite residual {bad}"
+    assert block[1] == 1 and f"non-finite residual {bad}" in block[2]
+
+
+def test_batched_law_must_return_one_residual_per_trial(capsys):
+    rep, code, _ = _run_with_sectional_bounds(_trial_index, lambda cfg, draws: 0.0, capsys)
+    failing = {p["name"]: p for p in rep["properties"]}["sectional_bounds"]
+    assert failing["worst_trial"] == 0 and not failing["pass"]
+    assert failing["error"] == "ValueError: 1 trials gave residuals of shape ()"
+    assert code == 1
+
+
+def test_batched_law_draws_once_per_trial_and_evaluates_per_block():
+    i = next(i for i, p in enumerate(REGISTRY) if p.name == "sectional_bounds")
+    saved = REGISTRY[i]
+    draws, blocks = [], []
+    REGISTRY[i] = replace(
+        saved, fn=lambda cfg, rng: draws.append(1) or saved.fn(cfg, rng),
+        batched=lambda cfg, d: blocks.append(len(d)) or saved.batched(cfg, d))
+    try:
+        rep = _run_property(REGISTRY[i], i, SuiteConfig(suite="holonomy", k=2, seed=5),
+                            range(200))
+    finally:
+        REGISTRY[i] = saved
+    assert rep.passed and rep.trials == 200
+    assert len(draws) == 200 and blocks == [64, 64, 64, 8]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_block_equals_batches_of_one(k):
+    # replay runs a batch of one, so it must reproduce the block's rows bit
+    # for bit; k = 4 lies outside the golden corpus
+    batched = [(i, p) for i, p in enumerate(REGISTRY) if p.batched is not None]
+    assert [p.name for _, p in batched] == [
+        p.name for p in suite_properties("holonomy") if p.name != "curvature_golden_values"]
+    space = SpaceConfig(k=k)
+    for i, p in batched:
+        draws = [p.fn(space, _trial_rng(7, i, t)) for t in range(200)]
+        block = np.asarray(p.batched(space, draws), dtype=float)
+        ones = [np.asarray(p.batched(space, [p.fn(space, _trial_rng(7, i, t))]),
+                           dtype=float)[0] for t in range(200)]
+        assert block.tolist() == ones, p.name
+
+
 def _small_residual_at_k3_trial_1(cfg, rng):
     if cfg.k == 3 and rng.bit_generator.seed_seq.entropy[-1] == 1:
         return 1e-6
@@ -216,7 +314,7 @@ def test_printed_replay_reproduces_the_failure(capsys):
         if p.suite == "holonomy":
             fn = (_small_residual_at_k3_trial_1 if p.name == "curvature_golden_values"
                   else lambda cfg, rng: 0.0)
-            REGISTRY[i] = replace(p, fn=fn, tol=1.0)
+            REGISTRY[i] = replace(p, fn=fn, tol=1.0, batched=None)
     try:
         code = main(["--suite", "holonomy", "--dim", "3", "--trials", "20000",
                      "--seed", "5", "--tol", "1e-7"])
@@ -244,7 +342,7 @@ def test_nan_residual_fails_its_property(capsys):
     i = next(i for i, p in enumerate(REGISTRY) if p.name == "sectional_bounds")
     saved = REGISTRY[i]
     for bad in (float("nan"), -math.inf):
-        REGISTRY[i] = replace(saved, fn=lambda cfg, rng, bad=bad: bad)
+        REGISTRY[i] = replace(saved, fn=lambda cfg, rng, bad=bad: bad, batched=None)
         try:
             rep = run_suite(SuiteConfig(suite="holonomy", k=2, trials=100, seed=5))
             code = main(["--suite", "holonomy", "--dim", "2", "--trials", "100",
@@ -278,7 +376,7 @@ def test_replay_says_raised_only_for_exceptions(capsys):
     lines = {}
     for label, fn in (("nan", lambda cfg, rng: math.nan), ("inf", lambda cfg, rng: math.inf),
                       ("boom", boom)):
-        REGISTRY[i] = replace(saved, fn=fn)
+        REGISTRY[i] = replace(saved, fn=fn, batched=None)
         try:
             assert replay("holonomy:5:0", k=2) == 1
         finally:

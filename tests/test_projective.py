@@ -54,6 +54,13 @@ def test_calibration_constant_stable_across_dimensions():
         assert distance_pairing_constant(k) == pytest.approx(2.0, abs=1e-13)
 
 
+def test_calibration_constant_is_cached_per_dimension():
+    distance_pairing_constant(3)
+    hits = distance_pairing_constant.cache_info().hits
+    assert distance_pairing_constant(3) == pytest.approx(2.0, abs=1e-13)
+    assert distance_pairing_constant.cache_info().hits == hits + 1
+
+
 def test_calibration_anchors():
     # the three anchor distances pinned by the calibration
     W = lift(infinity(2))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chgeom import tangent
 from chgeom.core import GeometryError
 from chgeom.tangent import (
     UnitaryReflection,
@@ -89,6 +90,44 @@ def test_curvature_operator_spectrum(rng):
         evals = curvature_operator_spectrum(u)
         target = np.concatenate([[-4.0], -np.ones(2 * k - 2), [0.0]])
         assert np.allclose(evals, target, atol=1e-10)
+
+
+def _spectrum_per_pair(u):
+    # the operator matrix built entry by entry, R(e, u) u once per (f, e)
+    u = u / np.linalg.norm(u)
+    k = u.shape[0]
+    basis = [np.eye(k, dtype=complex)[i] * c for i in range(k) for c in (1, 1j)]
+    M = np.array([[float(inner(riem_vec(e, u, u), f)) for e in basis] for f in basis])
+    return np.sort(np.linalg.eigvalsh(M))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_curvature_operator_spectrum_builds_each_column_once(k, monkeypatch):
+    rng = np.random.default_rng(k)
+    us = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for _ in range(100)]
+    for u in us:
+        assert np.array_equal(curvature_operator_spectrum(u), _spectrum_per_pair(u))
+    calls = []
+    monkeypatch.setattr(tangent, "riem_vec",
+                        lambda *args: calls.append(1) or riem_vec(*args))
+    curvature_operator_spectrum(us[0])
+    assert len(calls) == 2 * k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kernel_rows_equal_single_vectors(k):
+    # a stack of vectors is evaluated row by row, bit for bit
+    rng = np.random.default_rng(10 + k)
+    x, y, z, w = rng.standard_normal((4, 50, k)) + 1j * rng.standard_normal((4, 50, k))
+    for fn, args in ((inner, (x, y)), (riem_vec, (x, y, z)), (riem, (x, y, z, w)),
+                     (sec_k, (x, y)), (riem_polarized, (x, y, z, w)),
+                     (curvature_operator_spectrum, (x,))):
+        block = fn(*args)
+        assert np.array_equal(block, [fn(*row) for row in zip(*args)]), fn.__name__
+    assert np.array_equal(sectional(x, y), [sectional(a, b) for a, b in zip(x, y)])
+    lines = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+    assert np.array_equal(tangent._reflection_matrix(lines),
+                          [UnitaryReflection(line).matrix() for line in lines])
 
 
 def test_sectional_pinching(rng):
