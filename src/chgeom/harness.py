@@ -1,20 +1,24 @@
 """Suite runner and ``verify`` command line interface.
 
 Suites bundle the registered properties; a run is deterministic given
-(seed, dimension, trials): every trial draws from its own generator
-seeded by (seed, property index, trial index), so results do not depend
-on the order of the trials or on their number, and any failing sample
-is replayable with ``--replay suite:seed:index --dim k`` (plus the
-run's ``--tol``, if one was given).  ``--replay`` is a run of that one
-trial, judged by the same code as the run.  Trials run one after
+(seed, dimension, trials): every trial draws from its own generator,
+exactly ``np.random.default_rng((seed, property index, trial index))``,
+so results do not depend on the order of the trials or on their number,
+and any failing sample is replayable with ``--replay suite:seed:index
+--dim k`` (plus the run's ``--tol``, if one was given).  ``--replay`` is
+a run of that one trial, judged by the same code as the run.  The
+generators are built in chunks of trials: numpy's SeedSequence hash runs
+once per chunk on the trials' stacked states, and a test pins the result
+to numpy's own generators, state and draws.  Trials run one after
 another in one thread; a batched law draws them one by one and
 evaluates them in blocks, and a replayed trial as a batch of one.  A
 trial that raises, or returns a non-finite residual, fails its
 property: the report names the exception (or the residual) and the
 trial index, and no later trial is judged.
 
-The seed must be >= 0 and ``--tol`` positive and finite; ``--format``
-only selects how the report is printed.
+The dimension, trial budget and seed must be integers, the seed >= 0,
+and ``--tol`` positive and finite; ``--format`` only selects how the
+report is printed.
 
 Exit codes: 0 all properties pass, 1 a property failed (a raising or
 non-finite trial included), 2 usage error.
@@ -25,11 +29,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import SpaceConfig
 from .properties import REGISTRY, SUITE_NAMES, Property, suite_properties
@@ -56,6 +63,17 @@ _NON_FINITE = "non-finite residual"
 # per-call cost, few enough that a block's arrays stay small
 BLOCK_TRIALS = 64
 
+# trials whose generator seeds are hashed together: the hash costs numpy's
+# per-call overhead once per chunk, and a chunk's arrays stay small
+RNG_CHUNK = 4096
+
+# numpy.random.SeedSequence's hash (O'Neill's seed_seq_fe mix) on 32-bit words
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
 
 class UsageError(Exception):
     """Bad suite name or configuration; maps to exit code 2."""
@@ -73,6 +91,11 @@ class SuiteConfig:
         if self.suite not in (*SUITE_NAMES, "all"):
             raise UsageError(f"unknown suite {self.suite!r}; "
                              f"choose from {', '.join((*SUITE_NAMES, 'all'))}")
+        for name in ("k", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise UsageError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers too
         if self.k < 1:
             raise UsageError("dimension must be a positive integer")
         if self.trials < 1:
@@ -158,8 +181,88 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _trial_rng(seed: int, prop_index: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng((seed, prop_index, trial))
+def _words(n: int) -> list:
+    # the 32-bit words of n >= 0, low word first, as SeedSequence splits an int
+    out = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        out.append(n & _MASK32)
+    return out
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for every column e.
+
+    ``entropy`` is (words, n) uint32: n assembled entropies of one
+    length.  This is numpy's SeedSequence hash step for step, on rows of
+    n words at once; uint32 arrays wrap like its C words.
+    """
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * _MULT_A & _MASK32
+        value = value * np.uint32(h)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ r >> 16
+
+    zero = np.zeros(entropy.shape[1], dtype=np.uint32)
+    pool = [hashmix(entropy[j] if j < len(entropy) else zero) for j in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = _INIT_B
+    state = np.empty((entropy.shape[1], 2 * _POOL_SIZE), dtype="<u4")
+    for j in range(state.shape[1]):
+        value = pool[j % _POOL_SIZE] ^ np.uint32(h)
+        h = h * _MULT_B & _MASK32
+        value = value * np.uint32(h)
+        state[:, j] = value ^ value >> 16
+    # word pairs, low word first, as generate_state joins them
+    return state.view("<u8").astype(np.uint64)
+
+
+class _TrialSeed(ISeedSequence):
+    """The ``SeedSequence(entropy)`` of one trial, its PCG64 seed computed in advance."""
+
+    def __init__(self, entropy: tuple, pcg64_seed: np.ndarray):
+        self.entropy = entropy
+        self._pcg64_seed = pcg64_seed
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and np.dtype(dtype) == np.uint64:  # what PCG64 asks for
+            return self._pcg64_seed
+        return np.random.SeedSequence(self.entropy).generate_state(n_words, dtype)
+
+
+def _trial_rngs(seed: int, prop_index: int, indices: range):
+    """Yield ``np.random.default_rng((seed, prop_index, i))`` for each i of ``indices``.
+
+    The generators are built lazily, but their seeds are hashed for up
+    to RNG_CHUNK trials at a time; ``indices`` must ascend.
+    """
+    head = _words(seed) + _words(prop_index)
+    start = 0
+    while start < len(indices):
+        # the next trials whose indices have as many words as this one
+        width = len(_words(indices[start]))
+        first_wider = -((indices.start - (1 << 32 * width)) // indices.step)  # a position
+        chunk = indices[start:min(start + RNG_CHUNK, first_wider)]
+        rows = [np.full(len(chunk), w, dtype=np.uint32) for w in head]
+        rows += [np.fromiter(((i >> 32 * j) & _MASK32 for i in chunk), np.uint32, len(chunk))
+                 for j in range(width)]
+        for i, pcg64_seed in zip(chunk, _pcg64_seeds(np.array(rows))):
+            yield np.random.Generator(np.random.PCG64(_TrialSeed((seed, prop_index, i),
+                                                                 pcg64_seed)))
+        start += len(chunk)
 
 
 def _effective_trials(prop: Property, trials: int) -> int:
@@ -170,11 +273,13 @@ def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig,
                   indices: range) -> PropertyReport:
     """Run the trials ``indices`` of one property and judge them.
 
-    A batched law draws each trial's inputs with ``prop.fn``, one call
-    per trial, and evaluates them in blocks of up to BLOCK_TRIALS with
-    ``prop.batched``, one call per block.  If a block raises, its trials
-    are re-run one at a time, as batches of one, so that the report
-    names the first trial that raises.
+    Each trial draws from its own generator, taken from one
+    ``_trial_rngs`` builder over ``indices``.  A batched law draws each
+    trial's inputs with ``prop.fn``, one call per trial, and evaluates
+    them in blocks of up to BLOCK_TRIALS with ``prop.batched``, one call
+    per block.  If a block raises, its trials are re-run one at a time,
+    as batches of one on fresh generators, so that the report names the
+    first trial that raises.
     """
     space = SpaceConfig(k=cfg.k)
     tol = cfg.tol if cfg.tol is not None else prop.tol
@@ -185,31 +290,37 @@ def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig,
             passed=True, skipped=True,
         )
 
-    def run(trials):  # one residual per trial
-        out = [prop.fn(space, _trial_rng(cfg.seed, prop_index, i)) for i in trials]
+    def run(rngs):  # one residual per trial, from the trials' generators
+        out = [prop.fn(space, rng) for rng in rngs]
         if prop.batched is None:  # fn gave the residuals
             return [float(r) for r in out]
         r = np.asarray(prop.batched(space, out), dtype=float)  # fn gave the draws
-        if r.shape != (len(trials),):
-            raise ValueError(f"{len(trials)} trials gave residuals of shape {r.shape}")
+        if r.shape != (len(out),):
+            raise ValueError(f"{len(out)} trials gave residuals of shape {r.shape}")
         return r.tolist()
 
-    def attempt(trials):  # (trial, residual or the exception it raised)
+    def attempt(trials, rngs):  # (trial, residual or the exception it raised)
         try:
-            residuals = run(trials)
+            residuals = run(rngs)
         except Exception as exc:  # a raising trial fails its property, not the run
             if len(trials) == 1:
                 yield trials[0], exc
             else:
                 for i in trials:
-                    yield from attempt(range(i, i + 1))
+                    one = range(i, i + 1)
+                    yield from attempt(one, _trial_rngs(cfg.seed, prop_index, one))
             return
         yield from zip(trials, residuals)
 
-    step = 1 if prop.batched is None else BLOCK_TRIALS
+    def outcomes():  # attempt() of each block, its generators taken from one builder
+        step = 1 if prop.batched is None else BLOCK_TRIALS
+        rngs = _trial_rngs(cfg.seed, prop_index, indices)
+        for start in range(0, len(indices), step):
+            block = indices[start:start + step]
+            yield from attempt(block, list(islice(rngs, len(block))))
+
     worst, worst_i, error = 0.0, -1, None
-    for i, r in (out for start in range(0, len(indices), step)
-                 for out in attempt(indices[start:start + step])):
+    for i, r in outcomes():
         if isinstance(r, Exception):
             worst_i, error = i, f"{type(r).__name__}: {r}"
             break

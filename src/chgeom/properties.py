@@ -74,6 +74,7 @@ from .ortho import (
     standard_rcircle,
 )
 from .projective import (
+    _norm,
     crt_projective,
     distance_pairing_constant,
     drop,
@@ -887,7 +888,7 @@ def unitary_reflection_transitivity(cfg, rng):
     # v (built per trial) and a rotation order q
     g = rng.standard_normal(8)
     u, v = g[0:2] + 1j * g[2:4], g[4:6] + 1j * g[6:8]
-    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    u, v = u / _norm(u), v / _norm(v)
     return u, v, [r.line for r in tg.reflection_word(u, v)], int(rng.integers(2, 8))
 
 

@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import GeometryError
+from .projective import _norm
 
 __all__ = [
     "TangentVector",
@@ -151,9 +152,9 @@ def _real_basis(k: int) -> np.ndarray:
 
 
 def _norms(a):
-    # np.linalg.norm of each row: a BLAS call per row, as on one vector,
+    # np.linalg.norm of each row, through its arithmetic on one vector,
     # because a stacked norm sums in another order
-    return np.reshape([np.linalg.norm(r) for r in np.reshape(a, (-1, a.shape[-1]))],
+    return np.reshape([_norm(r) for r in np.reshape(a, (-1, a.shape[-1]))],
                       a.shape[:-1])
 
 
@@ -192,16 +193,16 @@ def adapted_frame(k: int, rng=None):
     else:
         sample = lambda: rng.standard_normal(k) + 1j * rng.standard_normal(k)
         x = sample()
-        x /= np.linalg.norm(x)
+        x /= _norm(x)
         z = sample()
         z -= complex(np.vdot(x, z)) * x  # complex projection kills x and Jx
-        z /= np.linalg.norm(z)
+        z /= _norm(z)
         v = None
         if k >= 3:
             v = sample()
             v -= complex(np.vdot(x, v)) * x
             v -= inner(v, z) * z + inner(v, 1j * z) * (1j * z)
-            v /= np.linalg.norm(v)
+            v /= _norm(v)
     return x, J(x), z, J(z), v
 
 
@@ -275,7 +276,8 @@ def _axis_target(u: np.ndarray, coord: int) -> np.ndarray:
 def _swap_reflection(u: np.ndarray, a: np.ndarray) -> UnitaryReflection:
     # reflection across the bisector line exchanges u and a; the phase of
     # a is chosen so that <a, u> is real and the bisector never degenerates
-    return UnitaryReflection(line=(u + a) / np.linalg.norm(u + a))
+    w = u + a
+    return UnitaryReflection(line=w / _norm(w))
 
 
 def reflection_word(u: np.ndarray, v: np.ndarray, tol: float = 1e-12) -> list:
@@ -289,9 +291,9 @@ def reflection_word(u: np.ndarray, v: np.ndarray, tol: float = 1e-12) -> list:
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     for name, vec in (("u", u), ("v", v)):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+        if abs(_norm(vec) - 1.0) > 1e-10:
             raise GeometryError(f"{name} must be a unit vector")
-    if np.linalg.norm(u - v) <= tol:
+    if _norm(u - v) <= tol:
         return []
     a1 = _axis_target(u, 0)
     r1 = _swap_reflection(u, a1)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -12,16 +13,17 @@ import pytest
 from chgeom.core import GeometryError, SpaceConfig
 from chgeom.harness import (
     REPORT_SCHEMA,
+    RNG_CHUNK,
     SuiteConfig,
     UsageError,
     _effective_trials,
     _run_property,
-    _trial_rng,
+    _trial_rngs,
     main,
     replay,
     run_suite,
 )
-from chgeom import properties
+from chgeom import harness, properties
 from chgeom.properties import REGISTRY, SUITE_NAMES, suite_properties
 
 
@@ -105,6 +107,107 @@ def test_suite_config_validation():
             SuiteConfig(suite="ptolemy", tol=tol)
     with pytest.raises(UsageError):
         SuiteConfig(suite="ptolemy", seed=-1)
+
+
+@pytest.mark.parametrize("field", ["k", "trials", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+def test_suite_config_rejects_non_integers(field, value):
+    # a float seed or k once ran and failed every law with a TypeError, a
+    # float trial budget ran rounded counts and seed=True ran as seed 1
+    with pytest.raises(UsageError, match=f"{field} must be an integer"):
+        SuiteConfig(suite="holonomy", **{field: value})
+
+
+def test_suite_config_takes_numpy_integers_as_ints():
+    cfg = SuiteConfig(suite="holonomy", k=np.int64(2), trials=np.int32(20),
+                      seed=np.uint64(3))
+    assert (cfg.k, cfg.trials, cfg.seed) == (2, 20, 3)
+    assert all(type(v) is int for v in (cfg.k, cfg.trials, cfg.seed))
+    assert json.loads(run_suite(cfg).to_json())["config"]["seed"] == 3
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
+@pytest.mark.parametrize("prop_index", [0, 57])
+def test_trial_rngs_are_default_rng_streams(seed, prop_index):
+    # a trial's generator is np.random.default_rng((seed, law, trial)) in
+    # state and draws, across chunk edges and where an index needs a
+    # second (2**32) or a third (2**64) 32-bit word
+    spans = [range(5),
+             range(2**32 - RNG_CHUNK - 2, 2**32 + 3),
+             range(2**64 - 2, 2**64 + 2),
+             range(10**30, 10**30 + 2)]
+    for indices in spans:
+        rngs = list(_trial_rngs(seed, prop_index, indices))
+        assert len(rngs) == len(indices)
+        for pos in {0, 1, RNG_CHUNK - 1, RNG_CHUNK, len(indices) - 4, len(indices) - 3,
+                    len(indices) - 1}:
+            if not 0 <= pos < len(indices):
+                continue
+            i, rng = indices[pos], rngs[pos]
+            ref = np.random.default_rng((seed, prop_index, i))
+            assert rng.bit_generator.state == ref.bit_generator.state, (indices, pos)
+            assert rng.bit_generator.seed_seq.entropy == (seed, prop_index, i)
+            assert rng.random(3).tolist() == ref.random(3).tolist()
+            assert rng.integers(0, 2**62, 3).tolist() == ref.integers(0, 2**62, 3).tolist()
+            assert rng.standard_normal(3).tolist() == ref.standard_normal(3).tolist()
+    # any other request to the stand-in is a SeedSequence's answer
+    words = next(_trial_rngs(seed, prop_index, range(7, 8))).bit_generator.seed_seq
+    ss = np.random.SeedSequence((seed, prop_index, 7))
+    assert words.generate_state(8).tolist() == ss.generate_state(8).tolist()
+    assert words.generate_state(4, np.uint64).tolist() == ss.generate_state(4, np.uint64).tolist()
+
+
+def test_trial_rngs_build_lazily():
+    # one chunk is hashed at a time, so a huge range costs nothing up front
+    start = time.perf_counter()
+    rng = next(_trial_rngs(0, 0, range(10**12)))
+    assert time.perf_counter() - start < 1.0
+    assert rng.bit_generator.state == np.random.default_rng((0, 0, 0)).bit_generator.state
+
+
+def test_run_makes_no_seed_sequence_per_trial(monkeypatch):
+    # every trial's generator comes from the stacked hash, one per property
+    # run; neither default_rng nor SeedSequence is called
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a generator was seeded one trial at a time")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    hashes = []
+    monkeypatch.setattr(harness, "_pcg64_seeds",
+                        lambda e, hash=harness._pcg64_seeds: hashes.append(1) or hash(e))
+    cfg = SuiteConfig(suite="all", k=2, seed=5)
+    for name in ("metric_double_inversion", "sectional_bounds"):  # per-trial, batched
+        i = next(i for i, p in enumerate(REGISTRY) if p.name == name)
+        seeds = []
+        prop = replace(REGISTRY[i], fn=lambda cfg, rng, fn=REGISTRY[i].fn:
+                       seeds.append(rng.bit_generator.seed_seq) or fn(cfg, rng))
+        hashes.clear()
+        rep = _run_property(prop, i, cfg, range(200))
+        assert rep.passed and rep.trials == 200
+        assert hashes == [1]
+        assert [s.entropy for s in seeds] == [(5, i, t) for t in range(200)]
+        assert not any(isinstance(s, np.random.bit_generator.SeedSequence) for s in seeds)
+
+
+def _residual_on_default_rng(i, k, seed, trial):
+    # the law's residual, drawn from numpy's own generator for the trial
+    p, space = REGISTRY[i], SpaceConfig(k=k)
+    r = p.fn(space, np.random.default_rng((seed, i, trial)))
+    return float(r if p.batched is None else p.batched(space, [r])[0])
+
+
+@pytest.mark.parametrize("name", ["metric_double_inversion", "curvature_symmetries"])
+def test_replay_beyond_two_to_the_32(name, capsys):
+    i = next(i for i, p in enumerate(REGISTRY) if p.name == name)
+    trial = 2**32 + 17
+    expected = _residual_on_default_rng(i, 2, 11, trial)
+    assert expected > 0.0
+    cfg = SuiteConfig(suite=REGISTRY[i].suite, k=2, seed=11)
+    assert _run_property(REGISTRY[i], i, cfg, range(trial, trial + 1)).max_residual == expected
+    assert replay(f"{REGISTRY[i].suite}:11:{trial}", k=2) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines() if name in line)
+    assert f"residual={expected:9.3e}" in line
 
 
 def test_main_exit_codes(capsys):
@@ -293,9 +396,9 @@ def test_block_equals_batches_of_one(k):
         p.name for p in suite_properties("holonomy") if p.name != "curvature_golden_values"]
     space = SpaceConfig(k=k)
     for i, p in batched:
-        draws = [p.fn(space, _trial_rng(7, i, t)) for t in range(200)]
+        draws = [p.fn(space, np.random.default_rng((7, i, t))) for t in range(200)]
         block = np.asarray(p.batched(space, draws), dtype=float)
-        ones = [np.asarray(p.batched(space, [p.fn(space, _trial_rng(7, i, t))]),
+        ones = [np.asarray(p.batched(space, [p.fn(space, np.random.default_rng((7, i, t)))]),
                            dtype=float)[0] for t in range(200)]
         assert block.tolist() == ones, p.name
 
