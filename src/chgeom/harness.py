@@ -102,6 +102,9 @@ class SuiteConfig:
             raise UsageError("trials must be >= 1")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
+        if self.tol is not None and (isinstance(self.tol, bool)
+                                     or not isinstance(self.tol, numbers.Real)):
+            raise UsageError(f"tol must be a real number, not {self.tol!r}")
         if self.tol is not None and not 0 < self.tol < math.inf:
             raise UsageError("tolerance must be positive and finite")
 

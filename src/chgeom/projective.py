@@ -76,8 +76,6 @@ __all__ = [
 # norm by convention, considered up to complex scale.
 NullVector = np.ndarray
 
-# Form-preservation drift above this triggers renormalization on compose.
-RENORM_THRESHOLD = 1e-8
 NULL_TOL = 1e-6
 # Last coordinates at roundoff level mark the direction of infinity.
 INFINITY_SLICE_TOL = 1e-13
@@ -195,21 +193,20 @@ class MoebiusMap:
     """A form-preserving matrix acting on the boundary.
 
     Composition is ``@``; the inverse uses the form (g^-1 = H g* H) and is
-    therefore as accurate as the form preservation of ``g`` itself.  The
-    drift away from the form group grows only at roundoff rate per
-    product, so compositions carry a product counter and re-measure the
-    drift every few dozen factors instead of at every multiplication.
+    therefore as accurate as the form preservation of ``g`` itself.
+    Products are not projected back onto the form group: their drift
+    grows only at roundoff rate, and ``form_preservation_drift`` measures
+    it.
     """
 
-    __slots__ = ("g", "muls")
+    __slots__ = ("g",)
 
-    def __init__(self, g: np.ndarray, *, check: bool = True, muls: int = 0):
+    def __init__(self, g: np.ndarray, *, check: bool = True):
         if not (type(g) is np.ndarray and g.dtype is _COMPLEX):
             g = np.asarray(g, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise GeometryError("a Moebius map needs a square matrix")
         self.g = g
-        self.muls = muls
         if check and not self.form_residual() <= 1e-6:  # NaN fails too
             raise GeometryError("matrix does not preserve the Hermitian form")
 
@@ -233,35 +230,12 @@ class MoebiusMap:
         scale = max(1.0, float(np.max(np.abs(self.g))) ** 2)
         return drift / scale
 
-    def renormalized(self) -> "MoebiusMap":
-        """Project the matrix back onto the form-preserving group.
-
-        Two Newton steps for the inverse square root of E = H g* H g
-        reduce a drift of size eps to O(eps^4); valid only while the
-        drift is small, which the compose threshold guarantees.
-        """
-        H = form_matrix(self.k)
-        g = self.g
-        I = _identity(self.k + 1)
-        for _ in range(2):
-            E = H @ g.conj().T @ H @ g
-            if np.max(np.abs(E - I)) > 0.25:
-                raise GeometryError("matrix is too far from the form group to project")
-            g = g @ (1.5 * I - 0.5 * E)
-        return MoebiusMap(g, check=False, muls=0)
-
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
-        out = MoebiusMap(self.g @ other.g, check=False,
-                         muls=self.muls + other.muls + 1)
-        if out.muls >= 48:
-            if out.form_residual() > RENORM_THRESHOLD:
-                out = out.renormalized()
-            out.muls = 0
-        return out
+        return MoebiusMap(self.g @ other.g, check=False)
 
     def inverse(self) -> "MoebiusMap":
         H = form_matrix(self.k)
-        return MoebiusMap(H @ self.g.conj().T @ H, check=False, muls=self.muls)
+        return MoebiusMap(H @ self.g.conj().T @ H, check=False)
 
     def __call__(self, p: BoundaryPoint) -> BoundaryPoint:
         return drop(self.g @ lift(p))
@@ -301,6 +275,8 @@ def make_translation(z0, t0: float) -> MoebiusMap:
         z0 = np.atleast_1d(np.asarray(z0, dtype=complex)).reshape(-1)
     k = z0.shape[0] + 1
     zz = complex(np.vdot(z0, z0)).real
+    if not (math.isfinite(zz) and math.isfinite(t0)):
+        raise GeometryError(f"translation needs finite data, got z0={z0}, t0={t0}")
     g = _identity(k + 1).copy()
     g[0, 1:k] = -np.conj(z0)
     g[0, k] = 0.5 * (-zz + 1j * float(t0))

@@ -11,9 +11,9 @@ A batched law is declared with ``@_law(..., batched=block)``.  The
 decorated function, its ``fn(cfg, rng)``, then returns the trial's draw
 instead of its residual: it draws the trial's inputs from the trial's
 own generator, in the order a per-trial form of the law would, and does
-any per-trial work that has no bit-identical stacked form.  ``block(cfg,
-draws) -> residuals`` evaluates a block of draws, in trial order, on
-stacked arrays and returns one residual per draw.  A trial's residual
+no other work.  ``block(cfg, draws) -> residuals`` evaluates a block of
+draws, in trial order, on stacked arrays and returns one residual per
+draw.  A trial's residual
 is the same in a batch of one as in any block, since replay runs a
 batch of one.
 
@@ -74,7 +74,6 @@ from .ortho import (
     standard_rcircle,
 )
 from .projective import (
-    _norm,
     crt_projective,
     distance_pairing_constant,
     drop,
@@ -760,9 +759,7 @@ def _draw_tangents(cfg, rng, m):
 
 def _tangents(cfg, draws):
     """The drawn tangent vectors as m stacks of shape (trials, k)."""
-    g = np.array(draws)
-    g = g.reshape(len(g), -1, 2, cfg.k)
-    return np.ascontiguousarray((g[:, :, 0] + 1j * g[:, :, 1]).transpose(1, 0, 2))
+    return tg._complex_draws(np.reshape(draws, (len(draws), -1, 2, cfg.k)))
 
 
 def _curvature_symmetries(cfg, draws):
@@ -813,7 +810,7 @@ def curvature_operator_spectrum(cfg, rng):
 
 
 def _holonomy_identity(cfg, draws):
-    x, y, z, u = np.ascontiguousarray(np.array(draws).transpose(1, 0, 2))
+    x, y, z, u, _ = tg._frames(_tangents(cfg, draws))
     return tg._norms(tg.riem_vec(x, y, z) - 2.0 * u)
 
 
@@ -821,9 +818,8 @@ def _holonomy_identity(cfg, draws):
       "R(x, Jx) z = 2 Jz for z in the complex orthogonal complement", min_k=2,
       batched=_holonomy_identity)
 def holonomy_identity(cfg, rng):
-    # x, Jx, z and Jz of a random adapted frame, built per trial because
-    # its BLAS norms and np.vdot have no bit-identical stacked form
-    return tg.adapted_frame(cfg.k, rng)[:4]
+    # the draws of x and z of a random adapted frame; v is not needed
+    return _draw_tangents(cfg, rng, 2)
 
 
 def _sectional_bounds(cfg, draws):
@@ -838,12 +834,6 @@ def sectional_bounds(cfg, rng):
     return _draw_tangents(cfg, rng, 2)
 
 
-def _modulus(z):
-    # |z| as abs() computes it on one numpy complex; np.abs of an array
-    # rounds differently in the last bit
-    return np.hypot(z.real, z.imag)
-
-
 def _rotation_order_residual(q: int) -> float:
     # rational-angle rotation pairs have finite order
     f1 = np.array([1.0, 0.0], dtype=complex)
@@ -854,14 +844,16 @@ def _rotation_order_residual(q: int) -> float:
 
 
 def _unitary_reflection_transitivity(cfg, draws):
-    us, vs, words, qs = zip(*draws)
+    g, qs = zip(*draws)
+    w = tg._complex_draws(np.reshape(g, (len(g), 2, 2, 2)))
+    u, v = w / tg._col(tg._norms(w))
     I = np.eye(2, dtype=complex)
     # a word is empty (u = v) or has four letters; an empty word acts as I
-    full = np.array([len(w) == 4 for w in words])
-    M = np.tile(I, (len(us), 1, 1))
-    worst = np.zeros(len(us))
+    full = ~(tg._norms(u - v) <= 1e-12)
+    M = np.tile(I, (len(g), 1, 1))
+    worst = np.zeros(len(g))
     if full.any():
-        R = tg._reflection_matrix(np.array([w for w in words if w]))  # (trials, 4, 2, 2)
+        R = tg._reflection_matrix(tg._word_lines(u[full], v[full]))  # (trials, 4, 2, 2)
         word = I
         for j in range(4):
             word = word @ R[:, j]
@@ -869,12 +861,12 @@ def _unitary_reflection_transitivity(cfg, draws):
         svals = np.linalg.svd(I - R, compute_uv=False)
         letters = np.max([
             np.max(np.abs(R @ R - I), axis=(-2, -1)),
-            _modulus(np.linalg.det(R) + 1.0),
+            tg._modulus(np.linalg.det(R) + 1.0),
             abs(svals[..., 0] - 2.0),
             svals[..., 1],
         ], axis=(0, 2))
-        worst[full] = np.maximum(letters, _modulus(np.linalg.det(R[:, 1] @ R[:, 0]) - 1.0))
-    moved = (M @ np.array(us)[..., None])[..., 0] - np.array(vs)
+        worst[full] = np.maximum(letters, tg._modulus(np.linalg.det(R[:, 1] @ R[:, 0]) - 1.0))
+    moved = (M @ u[..., None])[..., 0] - v
     worst = np.maximum(worst, tg._norms(moved))
     rotation = {q: _rotation_order_residual(q) for q in set(qs)}
     return np.maximum(worst, [rotation[q] for q in qs])
@@ -884,12 +876,9 @@ def _unitary_reflection_transitivity(cfg, draws):
       "words of unitary reflections act transitively on the unit sphere",
       batched=_unitary_reflection_transitivity)
 def unitary_reflection_transitivity(cfg, rng):
-    # unit vectors u and v, the lines of the reflection word taking u to
-    # v (built per trial) and a rotation order q
-    g = rng.standard_normal(8)
-    u, v = g[0:2] + 1j * g[2:4], g[4:6] + 1j * g[6:8]
-    u, v = u / _norm(u), v / _norm(v)
-    return u, v, [r.line for r in tg.reflection_word(u, v)], int(rng.integers(2, 8))
+    # unit vectors u and v, drawn as real and imaginary parts, and a
+    # rotation order q
+    return rng.standard_normal(8), int(rng.integers(2, 8))
 
 
 @_law("ortho", "ortho", 1e-8, 1000,

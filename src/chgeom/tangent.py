@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import GeometryError
-from .projective import _norm
 
 __all__ = [
     "TangentVector",
@@ -152,10 +151,21 @@ def _real_basis(k: int) -> np.ndarray:
 
 
 def _norms(a):
-    # np.linalg.norm of each row, through its arithmetic on one vector,
-    # because a stacked norm sums in another order
-    return np.reshape([_norm(r) for r in np.reshape(a, (-1, a.shape[-1]))],
-                      a.shape[:-1])
+    """Euclidean norm of each complex row, bit for bit as ``projective._norm``.
+
+    Complex rows only: the stacked ``@`` on their ``.real``/``.imag``
+    views takes BLAS's strided dot, as ``_norm`` does on one row; a
+    contiguous real array takes the unit-stride path and rounds
+    differently.
+    """
+    re, im = a.real, a.imag
+    return np.sqrt((re[..., None, :] @ re[..., :, None]
+                    + im[..., None, :] @ im[..., :, None])[..., 0, 0])
+
+
+def _vdot(a, b):
+    # np.vdot of each pair of complex rows, bit for bit
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def curvature_operator_spectrum(u: TangentVector) -> np.ndarray:
@@ -173,37 +183,37 @@ def curvature_operator_spectrum(u: TangentVector) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(M), axis=-1)
 
 
+def _frames(w):
+    # adapted frames (x, Jx, z, Jz, v) of complex stacks w of shape (m, ..., k)
+    # by one stacked Gram-Schmidt; v is None for m = 2
+    x = w[0] / _col(_norms(w[0]))
+    z = w[1] - _col(_vdot(x, w[1])) * x  # complex projection kills x and Jx
+    z = z / _col(_norms(z))
+    v = None
+    if len(w) > 2:
+        v = w[2] - _col(_vdot(x, w[2])) * x
+        v = v - (_col(inner(v, z)) * z + _col(inner(v, 1j * z)) * (1j * z))
+        v = v / _col(_norms(v))
+    return x, J(x), z, J(z), v
+
+
+def _complex_draws(g):
+    # real draws (..., m, 2, k) -> m contiguous complex stacks (m, ..., k)
+    return np.ascontiguousarray(np.moveaxis(g[..., 0, :] + 1j * g[..., 1, :], -2, 0))
+
+
 def adapted_frame(k: int, rng=None):
     """An adapted frame (x, y=Jx, z, u=Jz, v) with z complex-orthogonal to x.
 
     ``v`` is orthogonal to z and Jz inside the complex orthogonal
-    complement of x and is None for k < 3.
+    complement of x and is None for k < 3.  Without ``rng`` the frame is
+    built on the first coordinate axes.
     """
     if k < 2:
         raise GeometryError("adapted frames need complex dimension k >= 2")
-    if rng is None:
-        x = np.zeros(k, dtype=complex)
-        x[0] = 1.0
-        z = np.zeros(k, dtype=complex)
-        z[1] = 1.0
-        v = None
-        if k >= 3:
-            v = np.zeros(k, dtype=complex)
-            v[2] = 1.0
-    else:
-        sample = lambda: rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        x = sample()
-        x /= _norm(x)
-        z = sample()
-        z -= complex(np.vdot(x, z)) * x  # complex projection kills x and Jx
-        z /= _norm(z)
-        v = None
-        if k >= 3:
-            v = sample()
-            v -= complex(np.vdot(x, v)) * x
-            v -= inner(v, z) * z + inner(v, 1j * z) * (1j * z)
-            v /= _norm(v)
-    return x, J(x), z, J(z), v
+    m = min(k, 3)
+    return _frames(np.eye(k, dtype=complex)[:m] if rng is None
+                   else _complex_draws(rng.standard_normal((m, 2, k))))
 
 
 def holonomy_check(k: int, trials: int = 32, rng=None) -> dict:
@@ -216,15 +226,12 @@ def holonomy_check(k: int, trials: int = 32, rng=None) -> dict:
         return {"k": k, "vacuous": True, "identity_residual": 0.0,
                 "offplane_residual": 0.0, "trials": 0}
     rng = np.random.default_rng(0) if rng is None else rng
-    worst_id = 0.0
-    worst_off = 0.0
-    for _ in range(trials):
-        x, y, z, u, v = adapted_frame(k, rng)
-        worst_id = max(worst_id, float(np.linalg.norm(riem_vec(x, y, z) - 2.0 * u)))
-        if v is not None:
-            worst_off = max(worst_off, abs(riem(x, y, z, v)))
-    return {"k": k, "vacuous": False, "identity_residual": worst_id,
-            "offplane_residual": worst_off, "trials": trials}
+    g = rng.standard_normal((trials, min(k, 3), 2, k))
+    x, y, z, u, v = _frames(_complex_draws(g))
+    ident = _norms(riem_vec(x, y, z) - 2.0 * u)
+    off = 0.0 if v is None else abs(riem(x, y, z, v))
+    return {"k": k, "vacuous": False, "identity_residual": float(np.max(ident, initial=0)),
+            "offplane_residual": float(np.max(off, initial=0)), "trials": trials}
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +273,29 @@ def rotation_reflections(theta: float, f1: np.ndarray, f2: np.ndarray):
     return [UnitaryReflection(line=f(0.5 * theta)), UnitaryReflection(line=f(0.0))]
 
 
-def _axis_target(u: np.ndarray, coord: int) -> np.ndarray:
-    a = np.zeros(2, dtype=complex)
-    comp = u[coord]
-    a[coord] = comp / abs(comp) if abs(comp) > 1e-13 else 1.0
+def _modulus(z):
+    # |z| as abs() computes it on one numpy complex; np.abs of an array
+    # rounds differently in the last bit
+    return np.hypot(z.real, z.imag)
+
+
+def _axis_targets(u, coord: int):
+    # the unit multiple a of axis ``coord`` whose pairing with u is real, per row
+    c = u[..., coord]
+    a = np.zeros(u.shape, dtype=complex)
+    r = _modulus(c)
+    a[..., coord] = np.divide(c, r, out=np.ones_like(c), where=r > 1e-13)
     return a
 
 
-def _swap_reflection(u: np.ndarray, a: np.ndarray) -> UnitaryReflection:
-    # reflection across the bisector line exchanges u and a; the phase of
-    # a is chosen so that <a, u> is real and the bisector never degenerates
-    w = u + a
-    return UnitaryReflection(line=w / _norm(w))
+def _word_lines(u, v):
+    # lines (..., 4, 2) of the words carrying unit rows u to v, the last
+    # letter acting first; the outer letters reflect across the bisectors
+    # of u and v with their axis targets, which never degenerate
+    a1, a2 = _axis_targets(u, 0), _axis_targets(v, 1)
+    w1, w2 = u + a1, v + a2
+    rot = [r.line for r in rotation_reflections(0.5 * math.pi, a1, a2)]
+    return np.stack([w2 / _col(_norms(w2)), *rot, w1 / _col(_norms(w1))], axis=-2)
 
 
 def reflection_word(u: np.ndarray, v: np.ndarray, tol: float = 1e-12) -> list:
@@ -291,13 +309,8 @@ def reflection_word(u: np.ndarray, v: np.ndarray, tol: float = 1e-12) -> list:
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     for name, vec in (("u", u), ("v", v)):
-        if abs(_norm(vec) - 1.0) > 1e-10:
+        if abs(_norms(vec) - 1.0) > 1e-10:
             raise GeometryError(f"{name} must be a unit vector")
-    if _norm(u - v) <= tol:
+    if _norms(u - v) <= tol:
         return []
-    a1 = _axis_target(u, 0)
-    r1 = _swap_reflection(u, a1)
-    a2 = _axis_target(v, 1)
-    r2 = _swap_reflection(v, a2)
-    rot = rotation_reflections(0.5 * math.pi, a1, a2)
-    return [r2, *rot, r1]
+    return [UnitaryReflection(line=line) for line in _word_lines(u, v)]

@@ -118,6 +118,14 @@ def test_suite_config_rejects_non_integers(field, value):
         SuiteConfig(suite="holonomy", **{field: value})
 
 
+def test_suite_config_rejects_non_real_tolerance():
+    # tol=True once ran with tolerance 1 and tol="1e-9" raised a bare TypeError
+    for tol in (True, "1e-9", 1e-9 + 0j):
+        with pytest.raises(UsageError, match="tol must be a real number"):
+            SuiteConfig(suite="holonomy", tol=tol)
+    assert SuiteConfig(suite="holonomy", tol=np.float64(1e-9)).tol == 1e-9
+
+
 def test_suite_config_takes_numpy_integers_as_ints():
     cfg = SuiteConfig(suite="holonomy", k=np.int64(2), trials=np.int32(20),
                       seed=np.uint64(3))

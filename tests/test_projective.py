@@ -134,6 +134,14 @@ def test_dilation_rejects_non_finite_coefficient():
             make_dilation(lam, 2)
 
 
+def test_translation_rejects_non_finite_data():
+    # a NaN or infinite entry once built a map that failed only later, in drop
+    for z0, t0 in (([math.nan], 0.0), ([0.5], math.inf), ([1e200], 0.0),
+                   ([0.5j], math.nan)):
+        with pytest.raises(GeometryError, match="finite"):
+            make_translation(np.array(z0), t0)
+
+
 def test_dilation_action_and_scaling():
     D = make_dilation(2.0, 2)
     assert chordal_sq(D(point([1], 1.0)), point([2], 4.0)) < 1e-14
@@ -227,9 +235,3 @@ def test_crt_with_infinity_entry(rng):
     g = random_moebius(cfg, rng)
     assert crt(*quad).max_difference(crt(*(g(p) for p in quad))) < 1e-11
     assert crt(*quad).max_difference(crt_projective(*quad)) < 1e-12
-
-
-def test_renormalization_projects_back():
-    g = make_translation([1.0], 2.0) @ make_dilation(1.3, 2)
-    noisy = MoebiusMap(g.g + 1e-9 * np.ones_like(g.g), check=False)
-    assert noisy.renormalized().form_residual() < 1e-15

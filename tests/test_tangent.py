@@ -190,3 +190,105 @@ def test_rational_rotation_has_finite_order():
     for q in (2, 3, 5, 8):
         rot = word_matrix(rotation_reflections(2.0 * math.pi / q, f1, f2))
         assert np.allclose(np.linalg.matrix_power(rot, q), np.eye(2), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Contract: the stacked constructions equal their per-vector forms bit for bit
+# ---------------------------------------------------------------------------
+
+def _frame_reference(k, rng=None):
+    # adapted_frame as it was built one vector at a time
+    if rng is None:
+        x, z, v = (np.eye(k, dtype=complex)[i] if i < k else None for i in range(3))
+        return x, 1j * x, z, 1j * z, v
+    sample = lambda: rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    x = sample()
+    x /= np.linalg.norm(x)
+    z = sample()
+    z -= complex(np.vdot(x, z)) * x
+    z /= np.linalg.norm(z)
+    v = None
+    if k >= 3:
+        v = sample()
+        v -= complex(np.vdot(x, v)) * x
+        v -= inner(v, z) * z + inner(v, 1j * z) * (1j * z)
+        v /= np.linalg.norm(v)
+    return x, 1j * x, z, 1j * z, v
+
+
+def _word_reference(u, v):
+    # the lines of reflection_word as it was built one word at a time
+    if np.linalg.norm(u - v) <= 1e-12:
+        return []
+
+    def target(w, coord):
+        a = np.zeros(2, dtype=complex)
+        a[coord] = w[coord] / abs(w[coord]) if abs(w[coord]) > 1e-13 else 1.0
+        return a
+
+    a1, a2 = target(u, 0), target(v, 1)
+    c, s = math.cos(0.25 * math.pi), math.sin(0.25 * math.pi)
+    return [(v + a2) / np.linalg.norm(v + a2), c * a1 + s * a2, 1.0 * a1 + 0.0 * a2,
+            (u + a1) / np.linalg.norm(u + a1)]
+
+
+def _complex_rows(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(200, n) for n in range(1, 9)] + [(50, 4, 2)], ids=str)
+def test_stacked_norms_and_pairing_match_per_row(shape):
+    rng = np.random.default_rng(sum(shape))
+    a, b = _complex_rows(rng, shape), _complex_rows(rng, shape)
+    rows = lambda m: m.reshape(-1, shape[-1])
+    assert np.array_equal(tangent._norms(a).ravel(),
+                          [np.linalg.norm(r) for r in rows(a)])
+    assert np.array_equal(tangent._vdot(a, b).ravel(),
+                          [np.vdot(r, s) for r, s in zip(rows(a), rows(b))])
+
+
+def _equal_frames(got, want):
+    return all(g is w is None or np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_stacked_frames_match_per_frame_reference(k):
+    assert _equal_frames(adapted_frame(k), _frame_reference(k))
+    rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+    for _ in range(50):
+        assert _equal_frames(adapted_frame(k, rng), _frame_reference(k, ref_rng))
+    # one stacked call on 300 frames' draws reads the same stream
+    stacked = tangent._frames(
+        tangent._complex_draws(rng.standard_normal((300, min(k, 3), 2, k))))
+    reference = [_frame_reference(k, ref_rng) for _ in range(300)]
+    assert _equal_frames(stacked, [None if c[0] is None else np.array(c)
+                                   for c in zip(*reference)])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_holonomy_check_matches_per_frame_reference(k):
+    ref_rng = np.random.default_rng(k)
+    worst_id = worst_off = 0.0
+    for _ in range(100):
+        x, y, z, u, v = _frame_reference(k, ref_rng)
+        worst_id = max(worst_id, float(np.linalg.norm(riem_vec(x, y, z) - 2.0 * u)))
+        if v is not None:
+            worst_off = max(worst_off, abs(riem(x, y, z, v)))
+    report = holonomy_check(k, trials=100, rng=np.random.default_rng(k))
+    assert report["identity_residual"] == worst_id
+    assert report["offplane_residual"] == worst_off
+
+
+def test_stacked_reflection_words_match_per_word_reference():
+    rng = np.random.default_rng(16)
+    u, v = _complex_rows(rng, (500, 2)), _complex_rows(rng, (500, 2))
+    u[0], v[1], u[2] = v[0], [0.0, 1.0], [0.0, 2.0j]   # u = v, and the axis cases
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    reference = [_word_reference(a, b) for a, b in zip(u, v)]
+    for a, b, want in zip(u, v, reference):
+        got = [r.line for r in reflection_word(a, b)]
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
+    full = np.array([len(w) == 4 for w in reference])
+    assert np.array_equal(tangent._word_lines(u[full], v[full]),
+                          [w for w in reference if w])
