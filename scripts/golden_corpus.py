@@ -1,8 +1,8 @@
 """Exact golden corpus of verification reports.
 
 The corpus holds the per-property report entries, every field but
-``wall_ms``, of ``run_suite("all", trials=600)`` for k=3 seeds 0-59 and
-k=2 seeds 0-19: 4,640 entries.  A pure refactor must reproduce each of
+``wall_ms``, of ``run_suite("all", trials=600)`` for k=3 seeds 0-59,
+k=2 seeds 0-19 and k=1, 4 and 5 seeds 0-9 each: 6,380 entries.  A pure refactor must reproduce each of
 them bit for bit; the comparison is on the JSON text of every entry, so
 even the sign of a zero counts.  The seeds are fixed: a difference is a
 finding, never a reason to pick other seeds.
@@ -12,8 +12,8 @@ finding, never a reason to pick other seeds.
 
 Exit code 0 when every entry matches (or after ``--write``), 1 otherwise.
 The script imports the package from the ``src`` directory of its own
-checkout.  The 80 runs are independent; they are spread over one worker
-process per usable CPU (at most 80) and collected in corpus order.
+checkout.  The 110 runs are independent; they are spread over one worker
+process per usable CPU (at most 110) and collected in corpus order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from chgeom.harness import SuiteConfig, run_suite  # noqa: E402
 
 CORPUS = ROOT / "tests" / "data" / "golden_exact.json.gz"
 TRIALS = 600
-RUNS = [(3, seed) for seed in range(60)] + [(2, seed) for seed in range(20)]
+RUNS = ([(3, seed) for seed in range(60)] + [(2, seed) for seed in range(20)]
+        + [(k, seed) for k in (1, 4, 5) for seed in range(10)])
 
 
 def run_entries(k: int, seed: int) -> list[dict]:
