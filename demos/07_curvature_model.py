@@ -56,5 +56,5 @@ a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
 word = reflection_word(a, b)
 err = np.linalg.norm(word_matrix(word) @ a - b)
 print(f"  word of {len(word)} involutive reflections maps a to b, error {err:.3e}")
-dets = [np.linalg.det(r.matrix()) for r in word]
+dets = np.linalg.det(word_matrix(word[:, None]))   # one matrix per letter
 print(f"  determinants of the word letters: {np.round(dets, 10)}")

@@ -89,8 +89,8 @@ def _sample_params(n: int, step: float):
 class _Membership:
     """``contains``, for the shapes that define ``membership_residual``."""
 
-    def contains(self, p: BoundaryPoint, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.membership_residual(p) <= tol
+    def contains(self, p: BoundaryPoint) -> bool:
+        return self.membership_residual(p) <= MEMBERSHIP_TOL
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def chain_chart(F: CCircle, omega: BoundaryPoint, o: BoundaryPoint | None = None
 
 def ccircle_through(p: BoundaryPoint, q: BoundaryPoint) -> CCircle:
     """The unique chain through two distinct points."""
-    if same_point(p, q, tol=1e-12):
+    if same_point(p, q):
         raise GeometryError("a chain needs two distinct points")
     n = chart(p)
     q1 = n(q)
@@ -376,9 +376,9 @@ class Sphere(_Membership):
 def sphere_between(omega: BoundaryPoint, omega_prime: BoundaryPoint,
                    x: BoundaryPoint) -> Sphere:
     """The sphere between two distinct points through a third one."""
-    if same_point(omega, omega_prime, tol=1e-12):
+    if same_point(omega, omega_prime):
         raise GeometryError("sphere poles must be distinct")
-    if same_point(x, omega, tol=1e-12) or same_point(x, omega_prime, tol=1e-12):
+    if same_point(x, omega) or same_point(x, omega_prime):
         raise GeometryError("the anchor point must differ from both poles")
     return Sphere(omega=omega, omega_prime=omega_prime, x=x)
 

@@ -222,12 +222,12 @@ def pairing(p: BoundaryPoint, q: BoundaryPoint) -> float:
     vanishes.  Cross-ratio triples built from these values need no special
     case for infinity.
     """
-    if p.infinite and q.infinite:
-        return 0.0
-    if p.infinite or q.infinite:
-        return 1.0
-    d = dist(p, q)
-    return 0.5 * d * d
+    return _pairing_of(dist(p, q))
+
+
+def _pairing_of(d: float) -> float:
+    # the pairing of two points at distance d; infinity pairs to 1
+    return 1.0 if d == math.inf else 0.5 * d * d
 
 
 def same_point(p: BoundaryPoint, q: BoundaryPoint, tol: float = COINCIDENCE_TOL) -> bool:
@@ -295,22 +295,22 @@ def _pair_dists(points) -> dict:
     return {(i, j): dist(points[i], points[j]) for i, j in combinations(range(len(points)), 2)}
 
 
-def _admissible(n: int, dists: dict, tol: float) -> bool:
+def _admissible(n: int, dists: dict) -> bool:
     copies = [1] * n
     for (i, j), d in dists.items():
-        if d <= tol:
+        if d <= COINCIDENCE_TOL:
             copies[i] += 1
             copies[j] += 1
     return max(copies, default=0) < 3
 
 
-def is_admissible(points, tol: float = COINCIDENCE_TOL) -> bool:
+def is_admissible(points) -> bool:
     """True if no entry of the tuple occurs three or more times.
 
     Tests each unordered pair once, with the coincidence test of
     ``same_point``; every entry counts as one copy of itself.
     """
-    return _admissible(len(points), _pair_dists(points), tol)
+    return _admissible(len(points), _pair_dists(points))
 
 
 def crt(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint,
@@ -323,9 +323,9 @@ def crt(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint,
     test and the pairings (see :func:`pairing`).
     """
     dists = _pair_dists((x, y, z, u))
-    if not _admissible(4, dists, COINCIDENCE_TOL):
+    if not _admissible(4, dists):
         raise GeometryError("quadruple is not admissible (an entry repeats 3+ times)")
-    w = {ij: 1.0 if d == math.inf else 0.5 * d * d for ij, d in dists.items()}
+    w = {ij: _pairing_of(d) for ij, d in dists.items()}
     a = math.sqrt(w[0, 1] * w[2, 3])
     b = math.sqrt(w[0, 2] * w[1, 3])
     c = math.sqrt(w[0, 3] * w[1, 2])
@@ -344,8 +344,8 @@ def harmonicity_residual(x: BoundaryPoint, z: BoundaryPoint, y: BoundaryPoint,
 
 
 def is_harmonic(x: BoundaryPoint, z: BoundaryPoint, y: BoundaryPoint,
-                u: BoundaryPoint, tol: float = DEFAULT_TOL) -> bool:
-    return harmonicity_residual(x, z, y, u) <= tol
+                u: BoundaryPoint) -> bool:
+    return harmonicity_residual(x, z, y, u) <= DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------

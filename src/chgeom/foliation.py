@@ -86,7 +86,7 @@ def _rline_chart(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint) -> Moeb
         raise GeometryError("the R-circle must pass through omega")
     if not sigma.contains(o):
         raise GeometryError("the basepoint must lie on the R-circle")
-    if same_point(o, omega, tol=1e-12):
+    if same_point(o, omega):
         raise GeometryError("basepoint and omega coincide")
     minv = sigma.map.inverse()
     return chart(minv(omega), minv(o)) @ minv
@@ -156,7 +156,7 @@ def pure_homothety(o: BoundaryPoint, omega: BoundaryPoint, lam: float) -> Moebiu
     """
     if not lam > 0:
         raise GeometryError(f"homothety coefficient must be positive, got {lam}")
-    if same_point(o, omega, tol=1e-12):
+    if same_point(o, omega):
         raise GeometryError("homothety endpoints must be distinct")
     c = chart(omega, o)
     return c.inverse() @ make_dilation(float(lam), o.k) @ c
@@ -182,8 +182,8 @@ class Polygon:
     """Closed oriented polygon in the base, starting at its first vertex.
 
     Closure is implicit (the last vertex connects back to the first);
-    consecutive vertices must be distinct.  Two vertices are allowed so
-    that degenerate forth-and-back loops can be folded.
+    vertices must be finite and consecutive ones distinct.  Two vertices
+    are allowed so that degenerate forth-and-back loops can be folded.
     """
 
     vertices: np.ndarray
@@ -194,6 +194,8 @@ class Polygon:
         m = v.shape[0]
         if m < 2:
             raise GeometryError("a polygon needs at least two vertices")
+        if not np.isfinite(v).all():
+            raise GeometryError("polygon vertices must be finite")
         for i in range(m):
             if np.linalg.norm(v[i] - v[(i + 1) % m]) == 0.0:
                 raise GeometryError("consecutive polygon vertices must be distinct")

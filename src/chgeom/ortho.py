@@ -101,10 +101,10 @@ class OrthoComplement:
     def k(self) -> int:
         return self.F.k
 
-    def validate(self, tol: float = MEMBERSHIP_TOL) -> None:
+    def validate(self) -> None:
         for x in self.F.sample_points(3):
             y = self.eta(x)
-            if self.F.membership_residual(y) > tol:
+            if self.F.membership_residual(y) > MEMBERSHIP_TOL:
                 raise GeometryError("map does not preserve the chain")
             if chordal_sq(self.eta(y), x) > 1e-7:
                 raise GeometryError("map is not an involution on the chain")
@@ -222,20 +222,20 @@ def canonical_fiber(A: OrthoComplement, u: BoundaryPoint) -> CCircle:
     return ccircle_through(u, conjugate_pole(A.F, u))
 
 
-def are_orthogonal(F: CCircle, Fp: CCircle, tol: float = MEMBERSHIP_TOL) -> bool:
+def are_orthogonal(F: CCircle, Fp: CCircle) -> bool:
     """True if the reflection across F maps F' onto itself (and F != F').
 
     The relation is symmetric: invariance of F' under the reflection
     across F forces invariance of F under the reflection across F'.
     """
     mutual = max(Fp.membership_residual(p) for p in F.sample_points(3))
-    if mutual <= tol:
+    if mutual <= MEMBERSHIP_TOL:
         return False  # the same circle is not orthogonal to itself
     phi = reflection_in_ccircle(F)
     worst = 0.0
     for p in Fp.sample_points(3):
         worst = max(worst, Fp.membership_residual(phi(p)))
-    return worst <= tol
+    return worst <= MEMBERSHIP_TOL
 
 
 def fixset_psi_residual(F: CCircle, Fp: CCircle, u: BoundaryPoint) -> float:
@@ -245,14 +245,13 @@ def fixset_psi_residual(F: CCircle, Fp: CCircle, u: BoundaryPoint) -> float:
     return chordal_sq(u, phip(phi(u)))
 
 
-def fixset_psi_contains(F: CCircle, Fp: CCircle, u: BoundaryPoint,
-                        tol: float = MEMBERSHIP_TOL) -> bool:
+def fixset_psi_contains(F: CCircle, Fp: CCircle, u: BoundaryPoint) -> bool:
     """Membership of u in the fixed set of the composed reflections.
 
     For mutually orthogonal chains this fixed set is exactly the
     intersection of the two orthogonal complements.
     """
-    return fixset_psi_residual(F, Fp, u) <= tol
+    return fixset_psi_residual(F, Fp, u) <= MEMBERSHIP_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,8 @@ def drop(X: NullVector) -> BoundaryPoint:
     """
     if not (type(X) is np.ndarray and X.dtype is _COMPLEX):
         X = np.asarray(X, dtype=complex)
+    if X.ndim != 1:
+        raise GeometryError(f"a null vector is 1-d, got shape {X.shape}")
     k = X.shape[0] - 1
     x = X.tolist()
     x0, xk = x[0], x[k]
@@ -240,7 +242,7 @@ class MoebiusMap:
     def __call__(self, p: BoundaryPoint) -> BoundaryPoint:
         return drop(self.g @ lift(p))
 
-    def acts_like(self, other: "MoebiusMap", tol: float = 1e-9) -> bool:
+    def acts_like(self, other: "MoebiusMap") -> bool:
         """Projective equality decided by action on k+3 generic points.
 
         Compared in the squared chordal gap, which is first order in
@@ -249,7 +251,7 @@ class MoebiusMap:
         worst = 0.0
         for p in _generic_points(self.k):
             worst = max(worst, chordal_sq(self(p), other(p)))
-        return worst <= tol
+        return worst <= 1e-9
 
     def __repr__(self) -> str:
         return f"MoebiusMap(k={self.k}, form_residual={self.form_residual():.2e})"
@@ -299,6 +301,8 @@ def make_rotation(U) -> MoebiusMap:
 
 def make_dilation(lam: float, k: int) -> MoebiusMap:
     """Dilation (z, t) -> (lam z, lam^2 t), fixing the origin and infinity."""
+    if k < 1:
+        raise GeometryError(f"complex dimension must be >= 1, got {k}")
     inv = 1.0 / lam if lam > 0 else math.inf
     if not (lam < math.inf and inv < math.inf):
         raise GeometryError("dilation coefficient must be positive and finite, "
@@ -317,6 +321,8 @@ def make_inversion(k: int) -> MoebiusMap:
     contract at the origin, and maps the gauge-1 sphere to itself.  One
     shared instance per dimension, with a read-only matrix.
     """
+    if k < 1:
+        raise GeometryError(f"complex dimension must be >= 1, got {k}")
     g = np.zeros((k + 1, k + 1), dtype=complex)
     # Coordinate swap X_0 <-> X_k inverts with an extra factor 2 in the
     # metric; the dilation by 1/2 folded in here removes it.

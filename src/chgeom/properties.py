@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -825,7 +826,11 @@ def holonomy_identity(cfg, rng):
 def _sectional_bounds(cfg, draws):
     u, v = _tangents(cfg, draws)
     K = tg.sectional(u, v)
-    return np.maximum(np.maximum(0.0, -4.0 - K), K + 1.0)
+    # the excess over [-4, -1] times sin^2 of the angle of u and v, as K's
+    # rounding error grows like eps / sin^2
+    uu_vv = tg.inner(u, u) * tg.inner(v, v)
+    uv = tg.inner(u, v)
+    return np.maximum(np.maximum(0.0, -4.0 - K), K + 1.0) * ((uu_vv - uv * uv) / uu_vv)
 
 
 @_law("holonomy", "tangent", 1e-10, 2000,
@@ -834,6 +839,7 @@ def sectional_bounds(cfg, rng):
     return _draw_tangents(cfg, rng, 2)
 
 
+@lru_cache(maxsize=None)
 def _rotation_order_residual(q: int) -> float:
     # rational-angle rotation pairs have finite order
     f1 = np.array([1.0, 0.0], dtype=complex)
@@ -853,11 +859,9 @@ def _unitary_reflection_transitivity(cfg, draws):
     M = np.tile(I, (len(g), 1, 1))
     worst = np.zeros(len(g))
     if full.any():
-        R = tg._reflection_matrix(tg._word_lines(u[full], v[full]))  # (trials, 4, 2, 2)
-        word = I
-        for j in range(4):
-            word = word @ R[:, j]
-        M[full] = word
+        lines = tg._word_lines(u[full], v[full])
+        R = tg._reflection_matrix(lines)  # (trials, 4, 2, 2)
+        M[full] = tg.word_matrix(lines)
         svals = np.linalg.svd(I - R, compute_uv=False)
         letters = np.max([
             np.max(np.abs(R @ R - I), axis=(-2, -1)),
@@ -868,8 +872,7 @@ def _unitary_reflection_transitivity(cfg, draws):
         worst[full] = np.maximum(letters, tg._modulus(np.linalg.det(R[:, 1] @ R[:, 0]) - 1.0))
     moved = (M @ u[..., None])[..., 0] - v
     worst = np.maximum(worst, tg._norms(moved))
-    rotation = {q: _rotation_order_residual(q) for q in set(qs)}
-    return np.maximum(worst, [rotation[q] for q in qs])
+    return np.maximum(worst, [_rotation_order_residual(q) for q in qs])
 
 
 @_law("holonomy", "tangent", 1e-10, 1000,

@@ -14,13 +14,12 @@ holonomy of the normal bundle of a complex plane.
 The second half of the module works with unitary involutive reflections
 of C^2 (unitary g with g^2 = 1 whose fixed set is a complex line) and
 constructs short words of them carrying any unit vector to any other.
+A reflection is given by its line and a word by the stack of its lines.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .core import GeometryError
 
 __all__ = [
     "TangentVector",
-    "UnitaryReflection",
     "inner",
     "J",
     "riem",
@@ -94,20 +92,15 @@ def sec_k(p: TangentVector, q: TangentVector):
     return riem(p, q, q, p)
 
 
-def _pow2(a):
-    # a ** 2 through C pow, as on Python floats; numpy rounds a * a,
-    # which differs in the last bit for about one value in 1,200
-    return np.reshape([t ** 2 for t in np.ravel(a).tolist()], np.shape(a))
-
-
 def sectional(u: TangentVector, v: TangentVector):
     """Sectional curvature of the planes spanned by independent u, v.
 
-    Raises if any plane of the batch is degenerate.
+    Raises if any plane of the batch is degenerate or not finite.
     """
     uu_vv = inner(u, u) * inner(v, v)
-    denom = uu_vv - _pow2(inner(u, v))
-    if np.any(denom <= 1e-14 * np.maximum(uu_vv, 1e-300)):
+    uv = inner(u, v)
+    denom = uu_vv - uv * uv
+    if not np.all(denom > 1e-14 * np.maximum(uu_vv, 1e-300)):
         raise GeometryError("sectional curvature needs independent vectors")
     return sec_k(u, v) / denom
 
@@ -136,20 +129,6 @@ def riem_polarized(x: TangentVector, y: TangentVector, z: TangentVector,
     return total
 
 
-@lru_cache(maxsize=None)
-def _real_basis(k: int) -> np.ndarray:
-    # rows e_1, i e_1, ..., e_k, i e_k of the real tangent model
-    basis = []
-    for i in range(k):
-        e = np.zeros(k, dtype=complex)
-        e[i] = 1.0
-        basis.append(e)
-        basis.append(1j * e)
-    basis = np.array(basis)
-    basis.setflags(write=False)
-    return basis
-
-
 def _norms(a):
     """Euclidean norm of each complex row, bit for bit as ``projective._norm``.
 
@@ -176,7 +155,9 @@ def curvature_operator_spectrum(u: TangentVector) -> np.ndarray:
     directions, so the sorted spectrum is (-4, -1, ..., -1, 0).
     """
     u = u / _col(_norms(u))
-    basis = _real_basis(u.shape[-1])
+    # rows e_1, i e_1, ..., e_k, i e_k of the real tangent model
+    eye = np.eye(u.shape[-1], dtype=complex)
+    basis = np.stack([eye, 1j * eye], axis=1).reshape(-1, u.shape[-1])
     # column e of the operator, once per basis vector
     cols = np.stack([riem_vec(e, u, u) for e in basis], axis=-2)
     M = inner(cols[..., None, :, :], basis[:, None, :])   # M[..., f, e] = <R(e,u)u, f>
@@ -238,39 +219,30 @@ def holonomy_check(k: int, trials: int = 32, rng=None) -> dict:
 # Unitary involutive reflections of C^2
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnitaryReflection:
-    """Unitary involution of C^2 fixing the complex line spanned by ``line``."""
-
-    line: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return _reflection_matrix(self.line)
-
-
 def _reflection_matrix(lines: np.ndarray) -> np.ndarray:
     """Matrices of the unitary involutions fixing the complex lines ``lines``, per row."""
     w = lines / _col(_norms(lines))
     return 2.0 * (w[..., :, None] * w.conj()[..., None, :]) - np.eye(2, dtype=complex)
 
 
-def word_matrix(word) -> np.ndarray:
-    """Product of a word of reflections; the last element acts first."""
-    out = np.eye(2, dtype=complex)
-    for r in word:
-        out = out @ r.matrix()
+def word_matrix(lines) -> np.ndarray:
+    """Products of the words with lines (..., n, 2): I times each letter from the left."""
+    R = _reflection_matrix(np.asarray(lines, dtype=complex))
+    out = np.broadcast_to(np.eye(2, dtype=complex), R.shape[:-3] + (2, 2)).copy()
+    for j in range(R.shape[-3]):
+        out = out @ R[..., j, :, :]
     return out
 
 
-def rotation_reflections(theta: float, f1: np.ndarray, f2: np.ndarray):
-    """Two reflections whose product rotates by theta in the real span of f1, f2.
+def rotation_reflections(theta: float, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Lines of two reflections whose product rotates by theta in the real span of f1, f2.
 
     ``f1``, ``f2`` must be unitary-orthonormal with real Gram pairing; the
     product fixes the orthogonal complement of the plane only up to the
     complex structure, but acts on the plane as the rotation by theta.
     """
     f = lambda phi: math.cos(phi) * f1 + math.sin(phi) * f2
-    return [UnitaryReflection(line=f(0.5 * theta)), UnitaryReflection(line=f(0.0))]
+    return np.stack([f(0.5 * theta), f(0.0)], axis=-2)
 
 
 def _modulus(z):
@@ -294,12 +266,13 @@ def _word_lines(u, v):
     # of u and v with their axis targets, which never degenerate
     a1, a2 = _axis_targets(u, 0), _axis_targets(v, 1)
     w1, w2 = u + a1, v + a2
-    rot = [r.line for r in rotation_reflections(0.5 * math.pi, a1, a2)]
-    return np.stack([w2 / _col(_norms(w2)), *rot, w1 / _col(_norms(w1))], axis=-2)
+    rot = rotation_reflections(0.5 * math.pi, a1, a2)
+    return np.stack([w2 / _col(_norms(w2)), rot[..., 0, :], rot[..., 1, :],
+                     w1 / _col(_norms(w1))], axis=-2)
 
 
-def reflection_word(u: np.ndarray, v: np.ndarray, tol: float = 1e-12) -> list:
-    """A word of unitary involutive reflections carrying unit u to unit v.
+def reflection_word(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Lines (n, 2) of a word of unitary involutive reflections carrying unit u to unit v.
 
     Empty for u = v; otherwise u is reflected onto the first coordinate
     axis, rotated onto the second inside the real plane the axes span,
@@ -309,8 +282,8 @@ def reflection_word(u: np.ndarray, v: np.ndarray, tol: float = 1e-12) -> list:
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     for name, vec in (("u", u), ("v", v)):
-        if abs(_norms(vec) - 1.0) > 1e-10:
+        if not abs(_norms(vec) - 1.0) <= 1e-10:
             raise GeometryError(f"{name} must be a unit vector")
-    if _norms(u - v) <= tol:
-        return []
-    return [UnitaryReflection(line=line) for line in _word_lines(u, v)]
+    if _norms(u - v) <= 1e-12:
+        return np.zeros((0, 2), dtype=complex)
+    return _word_lines(u, v)

@@ -183,6 +183,10 @@ def test_polygon_validation():
     with pytest.raises(GeometryError):
         Polygon(vertices=np.array([[1.0 + 0j], [1.0 + 0j], [2.0]]))
     Polygon(vertices=np.array([[0.0 + 0j], [1.0]]))  # degenerate loop is fine
+    # non-finite vertices once gave tau (nan, nan) and a NaN signed area
+    for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+        with pytest.raises(GeometryError, match="finite"):
+            Polygon(vertices=np.array([[0.0 + 0j], [1.0], [bad]]))
 
 
 def test_tau_unit_square():

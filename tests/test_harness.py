@@ -23,7 +23,7 @@ from chgeom.harness import (
     replay,
     run_suite,
 )
-from chgeom import harness, properties
+from chgeom import harness, properties, tangent
 from chgeom.properties import REGISTRY, SUITE_NAMES, suite_properties
 
 
@@ -512,3 +512,25 @@ def test_squeezed_complements_are_resampled(seed, name):
     cfg = SuiteConfig("all", k=3, trials=600, seed=seed)
     rep = _run_property(REGISTRY[i], i, cfg, range(_effective_trials(REGISTRY[i], 600)))
     assert rep.passed and rep.error is None
+
+
+def _sectional_bounds_report(k, seed):
+    # sectional_bounds at its reference count of trials
+    i = next(i for i, p in enumerate(REGISTRY) if p.name == "sectional_bounds")
+    cfg = SuiteConfig(suite="holonomy", k=k, seed=seed)
+    return _run_property(REGISTRY[i], i, cfg, range(_effective_trials(REGISTRY[i], 10000)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sectional_bounds_passes_on_nearly_parallel_k1_planes(seed):
+    # at k = 1 every plane has K = -4; nearly parallel u, v once read
+    # rounding excesses up to 1.25e-8 against tol 1e-10
+    rep = _sectional_bounds_report(1, seed)
+    assert rep.trials == 2000 and rep.passed, rep.max_residual
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sectional_bounds_catches_scaled_curvature(k, monkeypatch):
+    sec_k = tangent.sec_k
+    monkeypatch.setattr(tangent, "sec_k", lambda p, q: 1.01 * sec_k(p, q))
+    assert not _sectional_bounds_report(k, 0).passed

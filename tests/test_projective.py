@@ -101,6 +101,10 @@ def test_drop_rejects_non_null():
         for X in ([bad, 0.0, 1.0], [0.0, complex(0.0, bad), 1.0], [1.0, 0.0, bad]):
             with pytest.raises(GeometryError, match="non-finite"):
                 drop(np.array(X, dtype=complex))
+    # a 2-d array once raised AttributeError from the null test
+    for X in (np.zeros((2, 3)), np.ones((1, 3), dtype=complex), np.array(1.0 + 0j)):
+        with pytest.raises(GeometryError, match="1-d"):
+            drop(X)
 
 
 def test_translation_is_left_multiplication(rng):
@@ -132,6 +136,15 @@ def test_dilation_rejects_non_finite_coefficient():
     for lam in (math.inf, math.nan, 1e-320):
         with pytest.raises(GeometryError, match="positive and finite"):
             make_dilation(lam, 2)
+
+
+def test_generators_reject_dimensions_below_one():
+    # k = 0 once built 1x1 maps with form residual 0.75
+    for k in (0, -1):
+        with pytest.raises(GeometryError, match="dimension"):
+            make_dilation(2.0, k)
+        with pytest.raises(GeometryError, match="dimension"):
+            make_inversion(k)
 
 
 def test_translation_rejects_non_finite_data():
