@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -839,7 +838,6 @@ def sectional_bounds(cfg, rng):
     return _draw_tangents(cfg, rng, 2)
 
 
-@lru_cache(maxsize=None)
 def _rotation_order_residual(q: int) -> float:
     # rational-angle rotation pairs have finite order
     f1 = np.array([1.0, 0.0], dtype=complex)
@@ -847,6 +845,10 @@ def _rotation_order_residual(q: int) -> float:
     rot = tg.word_matrix(tg.rotation_reflections(2.0 * math.pi / q, f1, f2))
     power = np.linalg.matrix_power(rot, q)
     return float(np.max(np.abs(power - np.eye(2, dtype=complex))))
+
+
+# one residual per drawn order q, built at import: every run makes the same calls
+_ROTATION_RESIDUALS = {q: _rotation_order_residual(q) for q in range(2, 8)}
 
 
 def _unitary_reflection_transitivity(cfg, draws):
@@ -872,7 +874,7 @@ def _unitary_reflection_transitivity(cfg, draws):
         worst[full] = np.maximum(letters, tg._modulus(np.linalg.det(R[:, 1] @ R[:, 0]) - 1.0))
     moved = (M @ u[..., None])[..., 0] - v
     worst = np.maximum(worst, tg._norms(moved))
-    return np.maximum(worst, [_rotation_order_residual(q) for q in qs])
+    return np.maximum(worst, [_ROTATION_RESIDUALS[q] for q in qs])
 
 
 @_law("holonomy", "tangent", 1e-10, 1000,
