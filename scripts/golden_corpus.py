@@ -10,7 +10,10 @@ finding, never a reason to pick other seeds.
     python3 scripts/golden_corpus.py              # compare the full corpus
     python3 scripts/golden_corpus.py --write      # regenerate from this tree
 
-Exit code 0 when every entry matches (or after ``--write``), 1 otherwise.
+Each differing entry is printed with its old and new ``max_residual``,
+``pass`` and ``error`` (and any other field that moved), and the output
+ends with the number of differing entries per law.  Exit code 0 when
+every entry matches (or after ``--write``), 1 otherwise.
 The script imports the package from the ``src`` directory of its own
 checkout.  The 110 runs are independent; they are spread over one worker
 process per usable CPU (at most 110) and collected in corpus order.
@@ -19,6 +22,7 @@ process per usable CPU (at most 110) and collected in corpus order.
 from __future__ import annotations
 
 import argparse
+import collections
 import gzip
 import json
 import multiprocessing
@@ -61,6 +65,14 @@ def differing(expected: list[dict], actual: list[dict]) -> list[str]:
     return diffs
 
 
+def describe(expected: dict, actual: dict) -> str:
+    """Old -> new of one entry's max_residual, pass, error and other moved fields."""
+    keys = ["max_residual", "pass", "error"]
+    keys += [key for key in sorted(expected.keys() | actual.keys())
+             if key not in keys and expected.get(key) != actual.get(key)]
+    return "; ".join(f"{key} {expected.get(key)!r} -> {actual.get(key)!r}" for key in keys)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true",
@@ -80,16 +92,23 @@ def main(argv=None) -> int:
         return 0
 
     corpus = load_corpus()
-    total = n_diff = n_fail = 0
+    total = n_fail = 0
+    per_law = collections.Counter()
     for (k, seed), actual in zip(RUNS, results):
-        diffs = differing(corpus[(k, seed)], actual)
-        for name in diffs:
-            print(f"k={k} seed={seed}: {name} differs")
+        expected = corpus[(k, seed)]
+        old = {e["name"]: e for e in expected}
+        new = {a["name"]: a for a in actual}
+        for name in differing(expected, actual):
+            detail = describe(old[name], new[name]) if name in old and name in new else "differs"
+            print(f"k={k} seed={seed}: {name}: {detail}")
+            per_law[name] += 1
         total += len(actual)
-        n_diff += len(diffs)
         n_fail += sum(not e["pass"] for e in actual)
-    print(f"{n_diff} of {total} entries differ; {n_fail} failing properties")
-    return 0 if n_diff == 0 else 1
+    for name, count in sorted(per_law.items(), key=lambda item: (-item[1], item[0])):
+        print(f"{count:6d}  {name}")
+    print(f"{sum(per_law.values())} of {total} entries differ in {len(per_law)} laws; "
+          f"{n_fail} failing properties")
+    return 0 if not per_law else 1
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ through two points, the unique R-circle through a chain point and an
 outside point that meets the chain again, the projection ``mu`` onto a
 chain, the induced fixed-point-free involution ``eta`` of a chain, the
 reflection across a chain with its conjugate poles, and spheres between
-two points.
+two points.  ``mu`` and ``eta`` are computed from pairings of null lifts,
+with no chart.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .core import (
     BoundaryPoint,
     GeometryError,
-    dist,
+    dist,  # noqa: F401 (rebound by the benchmark tracer)
     dist_w,
     gauge,
     harmonicity_residual,
@@ -43,6 +44,8 @@ from .projective import (
     _norm,
     axis_reflection,
     chart,
+    drop,
+    herm,
     lift,
     make_dilation,
     make_rotation,
@@ -75,7 +78,6 @@ MEMBERSHIP_TOL = 1e-8
 OFF_CIRCLE_MARGIN = 1e-6
 
 _DEFAULT_PARAMS = (0.0, 1.0, -1.0, 0.5, 2.0, -2.0, math.inf)
-_ANCHOR_PARAMS = (math.inf, 0.0, 1.0, -1.0, 3.0)
 
 
 def _sample_params(n: int, step: float):
@@ -125,11 +127,6 @@ class CCircle(_Membership):
     @cached_property
     def _reflection(self) -> MoebiusMap:
         return self.map @ axis_reflection(self.k) @ self.map.inverse()
-
-    @cached_property
-    def _anchors(self) -> tuple:
-        """Chain points at the fixed parameters used to place chart origins."""
-        return tuple(self.point_at(tau) for tau in _ANCHOR_PARAMS)
 
     def membership_residual(self, p: BoundaryPoint) -> float:
         """Squared distance of the unit null lift from the chain's complex 2-plane.
@@ -196,15 +193,11 @@ class RCircle(_Membership):
 # ---------------------------------------------------------------------------
 
 def _chain_point_away_from(F: CCircle, avoid: BoundaryPoint) -> BoundaryPoint:
-    best, best_d = None, -1.0
-    for q in F._anchors:
-        d = dist(q, avoid)
-        d = d if math.isfinite(d) else 1e30
-        if d > best_d:
-            best, best_d = q, d
-    if best_d <= 0.0:
-        raise GeometryError("degenerate chain")
-    return best
+    """Of F's points at tau = inf and 0, the one pairing more with ``avoid``, per length."""
+    g = F.map.g
+    a, b = g[:, 0], g[:, F.k]
+    X = lift(avoid)
+    return drop(a if abs(herm(a, X)) * _norm(b) >= abs(herm(b, X)) * _norm(a) else b)
 
 
 def chain_chart(F: CCircle, omega: BoundaryPoint, o: BoundaryPoint | None = None) -> MoebiusMap:
@@ -253,31 +246,34 @@ def unitary_with_first_column(w: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _hit_chart(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint):
-    if F.k < 2:
-        raise GeometryError("R-circles need complex dimension k >= 2")
-    n = chain_chart(F, omega)  # checks that omega lies on F
-    if F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
-        raise GeometryError("u must lie off the chain")
-    u1 = n(u)
-    if _norm(u1.z) <= 1e-14:
-        raise GeometryError("u projects onto omega; configuration is degenerate")
-    return n, u1
-
-
 def rcircle_through_hitting(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) -> RCircle:
     """The unique R-circle through omega (on F) and u (off F) meeting F again.
 
     In the chart where omega is infinite and F is the vertical axis this
     is the horizontal line s -> (z_u + s(z_F - z_u), t_u + 2 s Im<z_u, z_F - z_u>).
     """
-    n, u1 = _hit_chart(F, omega, u)
-    zu, tu = u1.z, u1.t
-    w = -zu
-    nw = _norm(w)
-    U = unitary_with_first_column(w / nw)
-    line = make_translation(zu, tu) @ make_rotation(U) @ make_dilation(nw, F.k)
+    if F.k < 2:
+        raise GeometryError("R-circles need complex dimension k >= 2")
+    n = chain_chart(F, omega)  # checks that omega lies on F
+    if F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
+        raise GeometryError("u must lie off the chain")
+    u1 = n(u)
+    nw = _norm(u1.z)
+    if nw <= 1e-14:
+        raise GeometryError("u projects onto omega; configuration is degenerate")
+    U = unitary_with_first_column(-u1.z / nw)
+    line = make_translation(u1.z, u1.t) @ make_rotation(U) @ make_dilation(nw, F.k)
     return RCircle(map=n.inverse() @ line)
+
+
+def _projection(F: CCircle, W: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Lift of mu(F, omega, u) from lifts W, U: U projected onto F's plane
+    (null basis a, b, <a, b> = 1), then made null along W.  With omega at
+    infinity and F the axis this is the lift of (0, t_u)."""
+    g = F.map.g
+    a, b = g[:, 0], g[:, F.k]
+    P = herm(U, b) * a + herm(U, a) * b
+    return P - (herm(P, P) / (2.0 * herm(W, P))) * W
 
 
 def mu(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) -> BoundaryPoint:
@@ -286,9 +282,11 @@ def mu(F: CCircle, omega: BoundaryPoint, u: BoundaryPoint) -> BoundaryPoint:
     Identity on F; otherwise the second intersection with F of the
     R-circle through omega and u that meets F.
     """
+    if not F.contains(omega):
+        raise GeometryError("omega must lie on the chain")
     if F.contains(u):
         return u
-    return eta(F, u, omega)
+    return drop(_projection(F, lift(omega), lift(u)))
 
 
 def eta(F: CCircle, u: BoundaryPoint, omega: BoundaryPoint) -> BoundaryPoint:
@@ -296,10 +294,11 @@ def eta(F: CCircle, u: BoundaryPoint, omega: BoundaryPoint) -> BoundaryPoint:
 
     Fixed-point free on F, and Moebius as a map of F.
     """
-    n, u1 = _hit_chart(F, omega, u)
-    # the chart axis sits at z = 0, so the horizontal line through u1
-    # toward the axis lands on the fiber coordinate (0, t_u)
-    return n.inverse()(point(np.zeros(F.k - 1), u1.t))
+    if not F.contains(omega):
+        raise GeometryError("omega must lie on the chain")
+    if F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
+        raise GeometryError("u must lie off the chain")
+    return drop(_projection(F, lift(omega), lift(u)))
 
 
 def reflection_in_ccircle(F: CCircle) -> MoebiusMap:

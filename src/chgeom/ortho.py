@@ -6,7 +6,9 @@ off F whose induced involution equals eta: the orthogonal complement of
 (F, eta).  ``OrthoComplement.validate()`` checks the restriction.  The
 complement is the intersection of two explicit spheres, is stable under
 the reflection across F, and is fibered by chains through conjugate-pole
-pairs.
+pairs.  Membership compares eta with the involution a point induces,
+computed from null lifts, at three chain points; the radius rho of the
+complement follows from eta's action on one chain point.
 
 The join machinery decomposes an arbitrary point onto a standard
 R-circle meeting F in an eta-pair and an orthogonal subspace in a
@@ -30,7 +32,6 @@ from .core import (
     BoundaryPoint,
     GeometryError,
     chordal_sq,
-    gauge,
     point,
 )
 from .circles import (
@@ -38,6 +39,7 @@ from .circles import (
     MEMBERSHIP_TOL,
     OFF_CIRCLE_MARGIN,
     RCircle,
+    _projection,
     ccircle_through,
     chain_chart,
     conjugate_pole,
@@ -46,7 +48,7 @@ from .circles import (
     rcircle_through_hitting,
     sphere_between,
 )
-from .projective import MoebiusMap, _norm, make_dilation, make_inversion
+from .projective import MoebiusMap, _norm, drop, lift, make_dilation, make_inversion
 
 __all__ = [
     "OrthoComplement",
@@ -120,19 +122,8 @@ class OrthoComplement:
         t = 0.  Computed once per instance.
         """
         omega = self.F.point_at(math.inf)
-        o = self.eta(omega)
-        c = chain_chart(self.F, omega, o)
-        for tau0 in (1.0, 2.0, -1.0, 0.5):
-            p1 = self.F.point_at(tau0)
-            q1 = c(self.eta(p1))
-            tau = c(p1).t
-            if q1.infinite or abs(tau) < 1e-9:
-                continue
-            q = -q1.t * tau
-            if not q > 0:
-                raise GeometryError("involution is not fixed-point free in the chart")
-            return c, q ** 0.25
-        raise GeometryError("could not place the involution in canonical position")
+        c = chain_chart(self.F, omega, self.eta(omega))
+        return c, _radius_of(self, c)
 
     def sample_points(self, n: int, rng) -> list:
         c, rho = self.chart_and_radius
@@ -158,11 +149,8 @@ class OrthoComplement:
 
     @cached_property
     def _membership_data(self):
-        """Determining charts with their eta targets, and the two spheres."""
-        charts = []
-        for w in self.F.sample_points(3):
-            n = chain_chart(self.F, w)
-            charts.append((n, n.inverse(), self.eta(w)))
+        """Determining chain lifts with their eta targets, and the two spheres."""
+        targets = [(lift(w), self.eta(w)) for w in self.F.sample_points(3)]
         c, rho = self.chart_and_radius
         cinv = c.inverse()
         m = self.k - 1
@@ -173,20 +161,31 @@ class OrthoComplement:
             sphere_between(o, self.F.point_at(math.inf), x),  # covered by R-circles through x, y
             sphere_between(x, y, o),                          # through o, omega between x and y
         )
-        return charts, spheres
+        return targets, spheres
+
+
+def _radius_of(A: OrthoComplement, c: MoebiusMap) -> float:
+    """Radius of A in a chart sending an eta-pair to infinity and the origin,
+    where eta acts on F as t -> -rho^4 / t."""
+    for tau0 in (1.0, 2.0, -1.0, 0.5):
+        p1 = A.F.point_at(tau0)
+        q1 = c(A.eta(p1))
+        tau = c(p1).t
+        if q1.infinite or abs(tau) < 1e-9:
+            continue
+        q = -q1.t * tau
+        if not q > 0:
+            raise GeometryError("involution is not fixed-point free in the chart")
+        return q ** 0.25
+    raise GeometryError("could not place the involution in canonical position")
 
 
 def _three_point_residual(A: OrthoComplement, u: BoundaryPoint) -> float:
     if A.F.membership_residual(u) <= OFF_CIRCLE_MARGIN:
         raise GeometryError("membership in the complement needs a point off the chain")
-    charts, _ = A._membership_data
-    m = A.k - 1
-    r3 = 0.0
-    for n, ninv, target in charts:
-        u1 = n(u)
-        hit = ninv(point(np.zeros(m), u1.t))
-        r3 = max(r3, chordal_sq(hit, target))
-    return r3
+    targets, _ = A._membership_data
+    U = lift(u)
+    return max(chordal_sq(drop(_projection(A.F, W, U)), target) for W, target in targets)
 
 
 def ortho_membership_residuals(A: OrthoComplement, u: BoundaryPoint):
@@ -304,16 +303,6 @@ class JoinDecomposition:
     b: float
     xo: float
     yo: float
-
-
-def _radius_of(A: OrthoComplement, chart: MoebiusMap) -> float:
-    """Radius of A in the chart, asserted constant over 10 sample points."""
-    pts = A.sample_points(10, np.random.default_rng(0))
-    radii = np.array([gauge(chart(p)) for p in pts])
-    mean = float(np.mean(radii))
-    if float(np.max(np.abs(radii - mean))) > 1e-10 * max(mean, 1.0):
-        raise GeometryError("the complement is not at constant distance in the chart")
-    return mean
 
 
 def join_decompose(A: OrthoComplement, u: BoundaryPoint,

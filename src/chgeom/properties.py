@@ -171,8 +171,6 @@ def ptolemy_inequality(cfg, rng):
     D = _pairwise_dists(Z, T)
     iu0, iu1 = np.triu_indices(5, 1)
     D = D[D[:, iu0, iu1].min(axis=1) >= MIN_SEPARATION]
-    if D.shape[0] == 0:
-        return 0.0
 
     def defect(M):
         t1 = M[:, 0, 2] * M[:, 1, 3]

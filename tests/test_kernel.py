@@ -152,16 +152,6 @@ def test_is_admissible_counts_infinity_copies():
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_chain_anchors_match_point_at(rng, k):
-    F = canonical_chain(k).transported(random_moebius(SpaceConfig(k=k), rng))
-    taus = (math.inf, 0.0, 1.0, -1.0, 3.0)
-    for q, tau in zip(F._anchors, taus):
-        p = F.point_at(tau)
-        assert q.infinite == p.infinite and q.t == p.t
-        assert np.array_equal(q.z, p.z)
-
-
-@pytest.mark.parametrize("k", [2, 3])
 def test_membership_residuals_match_reference(rng, k):
     space = SpaceConfig(k=k)
     F = canonical_chain(k).transported(random_moebius(space, rng))
