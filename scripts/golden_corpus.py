@@ -12,7 +12,9 @@ finding, never a reason to pick other seeds.
 
 Each differing entry is printed with its old and new ``max_residual``,
 ``pass`` and ``error`` (and any other field that moved), and the output
-ends with the number of differing entries per law.  Exit code 0 when
+ends with a per-law table in Markdown: the differing entries, how many
+of them moved ``max_residual`` up and down, and the worst new
+``max_residual`` over the law's tolerance.  Exit code 0 when
 every entry matches (or after ``--write``), 1 otherwise.
 The script imports the package from the ``src`` directory of its own
 checkout.  The 110 runs are independent; they are spread over one worker
@@ -22,7 +24,6 @@ process per usable CPU (at most 110) and collected in corpus order.
 from __future__ import annotations
 
 import argparse
-import collections
 import gzip
 import json
 import multiprocessing
@@ -93,20 +94,32 @@ def main(argv=None) -> int:
 
     corpus = load_corpus()
     total = n_fail = 0
-    per_law = collections.Counter()
+    per_law: dict[str, list] = {}   # name -> [entries, up, down, worst new / tol]
     for (k, seed), actual in zip(RUNS, results):
         expected = corpus[(k, seed)]
         old = {e["name"]: e for e in expected}
         new = {a["name"]: a for a in actual}
         for name in differing(expected, actual):
-            detail = describe(old[name], new[name]) if name in old and name in new else "differs"
-            print(f"k={k} seed={seed}: {name}: {detail}")
-            per_law[name] += 1
+            row = per_law.setdefault(name, [0, 0, 0, 0.0])
+            row[0] += 1
+            if name in old and name in new:
+                before, after = old[name]["max_residual"], new[name]["max_residual"]
+                row[1] += after > before
+                row[2] += after < before
+                row[3] = max(row[3], after / new[name]["tol"])
+                print(f"k={k} seed={seed}: {name}: {describe(old[name], new[name])}")
+            else:
+                print(f"k={k} seed={seed}: {name}: differs")
         total += len(actual)
         n_fail += sum(not e["pass"] for e in actual)
-    for name, count in sorted(per_law.items(), key=lambda item: (-item[1], item[0])):
-        print(f"{count:6d}  {name}")
-    print(f"{sum(per_law.values())} of {total} entries differ in {len(per_law)} laws; "
+    if per_law:
+        print("| law | entries | up | down | worst new / tol |")
+        print("| --- | ---: | ---: | ---: | ---: |")
+        for name, (n, up, down, worst) in sorted(per_law.items(),
+                                                 key=lambda item: (-item[1][0], item[0])):
+            print(f"| `{name}` | {n} | {up} | {down} | {worst:.2e} |")
+    n_diff = sum(row[0] for row in per_law.values())
+    print(f"{n_diff} of {total} entries differ in {len(per_law)} laws; "
           f"{n_fail} failing properties")
     return 0 if not per_law else 1
 

@@ -42,6 +42,7 @@ from .core import (
 from .projective import (
     MoebiusMap,
     _norm,
+    _unit_direction,
     axis_reflection,
     chart,
     drop,
@@ -96,8 +97,12 @@ class _Membership:
 
 
 @dataclass(frozen=True)
-class CCircle(_Membership):
-    """A chain, as the image of the vertical axis + infinity under ``map``."""
+class _Circle(_Membership):
+    """A circle stored as the Moebius map carrying its canonical model onto it.
+
+    A subclass names its canonical point at a finite parameter and, as
+    ``_STEP``, the step of its sample parameters beyond the defaults.
+    """
 
     map: MoebiusMap
 
@@ -105,18 +110,28 @@ class CCircle(_Membership):
     def k(self) -> int:
         return self.map.k
 
-    def point_at(self, tau: float) -> BoundaryPoint:
-        """Image of the canonical chain point (0, tau); tau = inf allowed."""
-        if math.isinf(tau):
+    def point_at(self, s: float) -> BoundaryPoint:
+        """Image of the canonical point at parameter s; s = inf allowed."""
+        if math.isinf(s):
             return self.map(infinity(self.k))
-        return self.map(point(np.zeros(self.k - 1), tau))
+        return self.map(self._canonical_point(s))
 
     def sample_points(self, n: int) -> list:
-        return [self.point_at(t) for t in _sample_params(n, 0.37)]
+        return [self.point_at(s) for s in _sample_params(n, self._STEP)]
 
-    def transported(self, g: MoebiusMap) -> "CCircle":
-        """The image chain g(F)."""
-        return CCircle(map=g @ self.map)
+    def transported(self, g: MoebiusMap):
+        """The image circle g(self), of the same class."""
+        return type(self)(map=g @ self.map)
+
+
+@dataclass(frozen=True)
+class CCircle(_Circle):
+    """A chain, as the image of the vertical axis + infinity under ``map``."""
+
+    _STEP = 0.37
+
+    def _canonical_point(self, tau: float) -> BoundaryPoint:
+        return point(np.zeros(self.k - 1), tau)
 
     @cached_property
     def _plane_basis(self) -> np.ndarray:
@@ -141,28 +156,15 @@ class CCircle(_Membership):
 
 
 @dataclass(frozen=True)
-class RCircle(_Membership):
+class RCircle(_Circle):
     """An R-circle, as the image of the horizontal first axis + infinity."""
 
-    map: MoebiusMap
+    _STEP = 0.41
 
-    @property
-    def k(self) -> int:
-        return self.map.k
-
-    def point_at(self, s: float) -> BoundaryPoint:
-        if math.isinf(s):
-            return self.map(infinity(self.k))
+    def _canonical_point(self, s: float) -> BoundaryPoint:
         z = np.zeros(self.k - 1, dtype=complex)
         z[0] = s
-        return self.map(point(z, 0.0))
-
-    def sample_points(self, n: int) -> list:
-        return [self.point_at(s) for s in _sample_params(n, 0.41)]
-
-    def transported(self, g: MoebiusMap) -> "RCircle":
-        """The image R-circle g(sigma)."""
-        return RCircle(map=g @ self.map)
+        return point(z, 0.0)
 
     @cached_property
     def _ginv(self) -> np.ndarray:
@@ -362,9 +364,7 @@ class Sphere(_Membership):
             t = r * r * math.sin(phi)
             zn = math.sqrt(max(math.cos(phi), 0.0)) * r
             if m:
-                direction = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                direction /= _norm(direction)
-                z = zn * direction
+                z = zn * _unit_direction(rng, m)
             else:
                 z = np.zeros(0, dtype=complex)
                 t = r * r * math.copysign(1.0, math.sin(phi) if phi else 1.0)

@@ -283,6 +283,17 @@ class CrossRatioTriple:
             raise GeometryError(f"degenerate cross-ratio triple ({a}, {b}, {c})")
         return cls(a / m, b / m, c / m)
 
+    @classmethod
+    def from_pairings(cls, w) -> "CrossRatioTriple":
+        """The triple (xy zu : xz yu : xu yz) of a quadruple from its pairings.
+
+        ``w`` holds the pairings of the entry pairs 01, 02, 03, 12, 13, 23
+        in that order (as ``itertools.combinations`` lists them), so the
+        pair complementary to ``w[i]`` is ``w[5 - i]``.
+        """
+        return cls.from_components(math.sqrt(w[0] * w[5]), math.sqrt(w[1] * w[4]),
+                                   math.sqrt(w[2] * w[3]))
+
     def components(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])
 
@@ -325,11 +336,7 @@ def crt(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint,
     dists = _pair_dists((x, y, z, u))
     if not _admissible(4, dists):
         raise GeometryError("quadruple is not admissible (an entry repeats 3+ times)")
-    w = {ij: _pairing_of(d) for ij, d in dists.items()}
-    a = math.sqrt(w[0, 1] * w[2, 3])
-    b = math.sqrt(w[0, 2] * w[1, 3])
-    c = math.sqrt(w[0, 3] * w[1, 2])
-    return CrossRatioTriple.from_components(a, b, c)
+    return CrossRatioTriple.from_pairings([_pairing_of(d) for d in dists.values()])
 
 
 def harmonicity_residual(x: BoundaryPoint, z: BoundaryPoint, y: BoundaryPoint,

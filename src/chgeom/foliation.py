@@ -5,7 +5,10 @@ the boundary; the quotient (the base) carries a metric in which the
 projection is 1-Lipschitz and restricts to an isometry on every R-line.
 With omega at infinity the fibers are the vertical lines of the chart
 and the base is the horizontal coordinate space C^(k-1) with the
-Euclidean metric; all other omega are handled by conjugation.
+Euclidean metric.  Any other omega is read in ``chart(omega, o)``, an
+isometry from the metric with omega remote to the gauge metric, where
+an R-line through omega and o is a horizontal line {s e} through the
+origin and s is its arclength.
 
 Besides the projection and the base distance, this module provides
 Busemann functions of R-lines (closed form and the defining limit),
@@ -30,7 +33,7 @@ from .core import (
     same_point,
 )
 from .circles import CCircle, RCircle, _chain_point_away_from, mu
-from .projective import MoebiusMap, chart, make_dilation, make_translation
+from .projective import MoebiusMap, _norm, chart, make_dilation, make_translation
 
 __all__ = [
     "Polygon",
@@ -81,53 +84,41 @@ def base_dist(omega: BoundaryPoint, F: CCircle, Fp: CCircle) -> float:
 # Busemann functions
 # ---------------------------------------------------------------------------
 
-def _rline_chart(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint) -> MoebiusMap:
-    if not sigma.contains(omega):
-        raise GeometryError("the R-circle must pass through omega")
-    if not sigma.contains(o):
-        raise GeometryError("the basepoint must lie on the R-circle")
-    if same_point(o, omega):
-        raise GeometryError("basepoint and omega coincide")
-    minv = sigma.map.inverse()
-    return chart(minv(omega), minv(o)) @ minv
-
-
 def busemann(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint,
              x: BoundaryPoint, method: str = "closed_form") -> float:
     """Busemann function of the R-line sigma in the space with omega remote.
 
     Normalized to vanish at ``o`` and to decrease along the direction of
     increasing canonical parameter of ``sigma``; on the line itself it is
-    minus the arclength from ``o``.  ``method="limit"`` evaluates the
-    defining limit of distance differences at the scales 2**19 and 2**20
-    and combines them with one Richardson extrapolation step.
+    minus the arclength from ``o``.  In ``chart(omega, o)`` sigma is the
+    line {s e}, and the closed form is -Re<z_x, e>.  ``method="limit"``
+    evaluates the defining limit d(x, s e) - s at the scales 2**19 and
+    2**20 and combines them with one Richardson extrapolation step.
     """
     if same_point(x, omega, tol=1e-14):
         raise GeometryError("the Busemann function is defined away from omega")
-    k = sigma.k
-    g = _rline_chart(omega, sigma, o)
+    if not sigma.contains(omega):
+        raise GeometryError("the R-circle must pass through omega")
+    if not sigma.contains(o):
+        raise GeometryError("the basepoint must lie on the R-circle")
+    if same_point(o, omega):
+        raise GeometryError("basepoint and omega coincide")
+    c = chart(omega, o)
     so = sigma.map.inverse()(o).z[0].real
-    ahead = sigma.point_at(so + 1.0)
-    a1 = g(ahead)
-    cval = a1.z[0].real
-    if abs(cval) < 1e-13:
+    ahead = c(sigma.point_at(so + 1.0)).z
+    length = _norm(ahead)
+    if length < 1e-13:
         raise GeometryError("could not orient the R-line chart")
-    sgn = math.copysign(1.0, cval)
-    lam = dist_w(omega, o, ahead) / abs(cval)
+    e = ahead / length
 
-    x1 = g(x)
+    x1 = c(x)
     if x1.infinite:
         raise GeometryError("x has no finite chart image")
     if method == "closed_form":
-        return -sgn * x1.z[0].real * lam
+        return -complex(np.vdot(e, x1.z)).real
     if method != "limit":
         raise GeometryError(f"unknown Busemann method {method!r}")
-
-    # distance differences evaluated in the chart, where the ray points
-    # stay exact coordinates; the chart factor lam converts back
-    e1 = np.zeros(k - 1, dtype=complex)
-    e1[0] = 1.0
-    v1, v2 = (lam * (dist(x1, point(sgn * s * e1, 0.0)) - s) for s in _LIMIT_SCALES)
+    v1, v2 = (dist(x1, point(s * e, 0.0)) - s for s in _LIMIT_SCALES)
     # first-order Richardson step on the doubling pair
     return 2.0 * v2 - v1
 
@@ -174,7 +165,10 @@ def horizontal_lift(b1: np.ndarray, b2: np.ndarray, t: float) -> float:
     """
     b1 = np.atleast_1d(np.asarray(b1, dtype=complex))
     b2 = np.atleast_1d(np.asarray(b2, dtype=complex))
-    return float(t) + 2.0 * complex(np.sum(b1 * np.conj(b2))).imag
+    t_end = float(t) + 2.0 * complex(np.sum(b1 * np.conj(b2))).imag
+    if not math.isfinite(t_end):  # any non-finite input makes it so
+        raise GeometryError("a horizontal lift needs finite base points and height")
+    return t_end
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 
 import numpy as np
@@ -123,18 +123,9 @@ class PropertyReport:
     error: str | None = None   # exception raised (or non-finite residual) at worst_trial
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "module": self.module,
-            "tol": self.tol,
-            "trials": self.trials,
-            "max_residual": self.max_residual,
-            "worst_trial": self.worst_trial,
-            "pass": self.passed,
-            "skipped": self.skipped,
-            "error": self.error,
-        }
+        """The fields in declaration order; ``passed`` is reported as "pass"."""
+        return {("pass" if f.name == "passed" else f.name): getattr(self, f.name)
+                for f in fields(self)}
 
 
 @dataclass

@@ -48,7 +48,7 @@ from .circles import (
     rcircle_through_hitting,
     sphere_between,
 )
-from .projective import MoebiusMap, _norm, drop, lift, make_dilation, make_inversion
+from .projective import MoebiusMap, _unit_direction, drop, lift, make_dilation, make_inversion
 
 __all__ = [
     "OrthoComplement",
@@ -136,9 +136,7 @@ class OrthoComplement:
             # reject directions whose transported chain separation decays
             # below the off-circle margin (skewed charts shrink residuals)
             for _ in range(50):
-                direction = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                direction /= _norm(direction)
-                u = cinv(point(rho * direction, 0.0))
+                u = cinv(point(rho * _unit_direction(rng, m), 0.0))
                 if self.F.membership_residual(u) > 10 * OFF_CIRCLE_MARGIN:
                     break
             else:

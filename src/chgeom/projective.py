@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -111,6 +112,12 @@ def _norm(X: np.ndarray) -> float:
     without its dispatch.
     """
     return math.sqrt(X.real.dot(X.real) + X.imag.dot(X.imag))
+
+
+def _unit_direction(rng: np.random.Generator, m: int) -> np.ndarray:
+    """A uniformly distributed unit vector of C^m, from one complex Gaussian draw."""
+    d = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return d / _norm(d)
 
 
 def herm(X: np.ndarray, Y: np.ndarray) -> complex:
@@ -374,11 +381,8 @@ def crt_projective(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint,
     if not is_admissible((x, y, z, u)):
         raise GeometryError("quadruple is not admissible (an entry repeats 3+ times)")
     Xs = [lift(p) for p in (x, y, z, u)]
-    pair = lambda i, j: abs(herm(Xs[i], Xs[j]))
-    a = math.sqrt(pair(0, 1) * pair(2, 3))
-    b = math.sqrt(pair(0, 2) * pair(1, 3))
-    c = math.sqrt(pair(0, 3) * pair(1, 2))
-    return CrossRatioTriple.from_components(a, b, c)
+    return CrossRatioTriple.from_pairings(
+        [abs(herm(Xs[i], Xs[j])) for i, j in combinations(range(4), 2)])
 
 
 @lru_cache(maxsize=None)

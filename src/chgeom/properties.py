@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -36,6 +37,7 @@ from . import foliation as fo
 from . import tangent as tg
 from .core import (
     CrossRatioTriple,
+    _pairing_of,
     chordal_sq,
     crt,
     dist,
@@ -52,7 +54,6 @@ from .core import (
 from .circles import (
     OFF_CIRCLE_MARGIN,
     ccircle_through,
-    chain_chart,
     circle_pointset_residual,
     conjugate_pole,
     eta,
@@ -74,6 +75,8 @@ from .ortho import (
     standard_rcircle,
 )
 from .projective import (
+    _unit_direction,
+    chart,
     crt_projective,
     distance_pairing_constant,
     drop,
@@ -88,6 +91,7 @@ from .sampling import (
     MIN_SEPARATION,
     _pairwise_dists,
     _point_batch,
+    _upper_pairs,
     canonical_chain,
     canonical_rcircle,
     random_moebius,
@@ -169,7 +173,7 @@ def ptolemy_inequality(cfg, rng):
     # and in the inversion at the fifth sampled point
     Z, T = _point_batch(cfg, rng, (_PTOLEMY_BATCH, 5))
     D = _pairwise_dists(Z, T)
-    iu0, iu1 = np.triu_indices(5, 1)
+    iu0, iu1 = _upper_pairs(5)
     D = D[D[:, iu0, iu1].min(axis=1) >= MIN_SEPARATION]
 
     def defect(M):
@@ -218,25 +222,12 @@ def metric_double_inversion(cfg, rng):
     quad[rng.integers(0, 4)] = infinity(cfg.k)
 
     def doubly_inverted(p, q):
-        # finite points only: _pair_with settles the infinite entries
+        # inf when p or q is infinite, which pairs to 1 as in crt
         return dist_w(w, p, q) * dist(p, w) * dist(q, w)
 
-    x, y, z, u = quad
-    t_ref = crt(x, y, z, u)
-    a = math.sqrt(_pair_with(doubly_inverted, x, y) * _pair_with(doubly_inverted, z, u))
-    b = math.sqrt(_pair_with(doubly_inverted, x, z) * _pair_with(doubly_inverted, y, u))
-    c = math.sqrt(_pair_with(doubly_inverted, x, u) * _pair_with(doubly_inverted, y, z))
-    return CrossRatioTriple.from_components(a, b, c).max_difference(t_ref)
-
-
-def _pair_with(metric, p, q):
-    # pairing-style product used to form crt from an explicit metric; the
-    # infinite entries follow the same cancellation convention as crt
-    if p.infinite and q.infinite:
-        return 0.0
-    if p.infinite or q.infinite:
-        return 1.0
-    return 0.5 * metric(p, q) ** 2
+    pairings = [_pairing_of(doubly_inverted(quad[i], quad[j]))
+                for i, j in combinations(range(4), 2)]
+    return CrossRatioTriple.from_pairings(pairings).max_difference(crt(*quad))
 
 
 @_law("distance_formula", "circles", 1e-9, 10000,
@@ -308,11 +299,7 @@ def er_existence_uniqueness(cfg, rng):
 def _orthogonal_config(cfg, rng):
     """A map g and a unit direction; g carries the vertical axis and the
     R-line of the direction to an orthogonal chain and R-circle."""
-    m = cfg.k - 1
-    g = random_moebius(cfg, rng)
-    direction = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    direction /= np.linalg.norm(direction)
-    return g, direction
+    return random_moebius(cfg, rng), _unit_direction(rng, cfg.k - 1)
 
 
 @_law("axioms_o", "circles", 1e-8, 1000,
@@ -459,7 +446,7 @@ def sphere_bisector_form(cfg, rng):
 def filling_sphere_rcircles(cfg, rng):
     omega, omega_p = sample_distinct_points(cfg, rng, 2)
     F = ccircle_through(omega, omega_p)
-    c = chain_chart(F, omega_p, omega)
+    c = chart(omega_p, omega)  # F is the vertical axis in it
     cinv = c.inverse()
     r2 = math.exp(rng.uniform(-0.5, 0.5))
     x = cinv(point(np.zeros(cfg.k - 1), r2))
@@ -578,8 +565,7 @@ def base_midpoint_uniqueness(cfg, rng):
     dAB = fo.base_dist(omega, A, B)
     on_excess = fo.base_dist(omega, A, M) + fo.base_dist(omega, M, B) - dAB
     worst = _rel(on_excess, dAB)
-    off = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    off = off / np.linalg.norm(off) * rng.uniform(0.3, 1.0)
+    off = _unit_direction(rng, m) * rng.uniform(0.3, 1.0)
     P = _fiber_through(omega, 0.5 * (za + zb) + off)
     off_excess = fo.base_dist(omega, A, P) + fo.base_dist(omega, P, B) - dAB
     if off_excess <= 0.0:
@@ -638,15 +624,16 @@ def pure_homothety_scaling(cfg, rng):
         F = ccircle_through(o, w)
         u = _point_off_chain(cfg, rng, F)
         # lines through o are preserved; build the one through the shifted u
-        sigma_o = rcircle_through_hitting(F, w, _shift_to_hit(F, w, o, u))
+        sigma_o = rcircle_through_hitting(F, w, _shift_to_hit(w, o, u))
         for s in (-1.2, 0.8):
             worst = max(worst, sigma_o.membership_residual(h(sigma_o.point_at(s))))
     return worst
 
 
-def _shift_to_hit(F, omega, o, u):
-    """Move u along its fiber direction so the R-line through it hits F at o."""
-    c = chain_chart(F, omega, o)
+def _shift_to_hit(omega, o, u):
+    """Move u along its fiber through omega so that the R-line through it
+    and omega hits the chain through omega and o at o."""
+    c = chart(omega, o)
     u1 = c(u)
     return c.inverse()(point(u1.z, 0.0))
 

@@ -22,6 +22,7 @@ from .ortho import OrthoComplement, canonical_involution
 from .projective import (
     MoebiusMap,
     _norm,
+    _unit_direction,
     make_dilation,
     make_inversion,
     make_rotation,
@@ -127,8 +128,7 @@ def random_moebius(cfg: SpaceConfig, rng: np.random.Generator,
     """
     m = cfg.k - 1
     if m:
-        direction = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        z0 = direction / _norm(direction) * 1.5 * rng.uniform() ** (1.0 / (2 * m))
+        z0 = _unit_direction(rng, m) * 1.5 * rng.uniform() ** (1.0 / (2 * m))
     else:
         z0 = np.zeros(0, dtype=complex)
     g = make_translation(z0, rng.uniform(-2.0, 2.0))

@@ -147,6 +147,14 @@ def _vdot(a, b):
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _unit_rows(a, what: str):
+    # each row over its norm; a zero or non-finite row has no direction
+    n = _norms(a)
+    if not np.all((n > 0) & (n < math.inf)):
+        raise GeometryError(f"{what} must be nonzero and finite")
+    return a / _col(n)
+
+
 def curvature_operator_spectrum(u: TangentVector) -> np.ndarray:
     """Sorted eigenvalues of v -> R(v, u) u on the real tangent model, per row.
 
@@ -154,7 +162,7 @@ def curvature_operator_spectrum(u: TangentVector) -> np.ndarray:
     complement with eigenvalue -4 on Ju and -1 on the remaining 2k - 2
     directions, so the sorted spectrum is (-4, -1, ..., -1, 0).
     """
-    u = u / _col(_norms(u))
+    u = _unit_rows(u, "curvature operator directions")
     # rows e_1, i e_1, ..., e_k, i e_k of the real tangent model
     eye = np.eye(u.shape[-1], dtype=complex)
     basis = np.stack([eye, 1j * eye], axis=1).reshape(-1, u.shape[-1])
@@ -221,7 +229,7 @@ def holonomy_check(k: int, trials: int = 32, rng=None) -> dict:
 
 def _reflection_matrix(lines: np.ndarray) -> np.ndarray:
     """Matrices of the unitary involutions fixing the complex lines ``lines``, per row."""
-    w = lines / _col(_norms(lines))
+    w = _unit_rows(lines, "reflection lines")
     return 2.0 * (w[..., :, None] * w.conj()[..., None, :]) - np.eye(2, dtype=complex)
 
 

@@ -159,6 +159,15 @@ def test_circle_constructions_map_no_extra_points(space, rng, monkeypatch):
     assert len(calls) == 2
 
 
+def test_transported_keeps_the_circle_class(space, rng):
+    g = random_moebius(space, rng)
+    for circle in (sample_chain(space, rng), sample_rcircle(space, rng)):
+        image = circle.transported(g)
+        assert type(image) is type(circle)
+        for s in (0.6, math.inf):
+            assert chordal_sq(image.point_at(s), g(circle.point_at(s))) < 1e-12
+
+
 def test_mu_retraction_and_distance_formula(space, rng):
     F = sample_chain(space, rng)
     omega = F.point_at(-0.4)

@@ -16,7 +16,7 @@ from chgeom.core import (
     point,
 )
 from chgeom.circles import ccircle_through
-from chgeom.projective import chart
+from chgeom.projective import MoebiusMap, chart
 from chgeom.foliation import (
     Polygon,
     base_dist,
@@ -32,6 +32,7 @@ from chgeom.sampling import (
     canonical_rcircle,
     sample_distinct_points,
     sample_point,
+    sample_rcircle,
 )
 
 
@@ -115,6 +116,39 @@ def test_busemann_limit_agrees_with_closed_form(rng):
         assert b_limit == pytest.approx(b_closed, abs=1e-6)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_busemann_is_minus_signed_arclength_on_transported_rlines(rng, k):
+    # omega remote and omega a finite point of sigma two parameters behind
+    # o; the points at o's parameter + h lie ahead of o exactly for h > 0
+    cfg = SpaceConfig(k=k)
+    for _ in range(20):
+        sigma = sample_rcircle(cfg, rng)
+        b = float(rng.uniform(-1.0, 1.0))
+        o = sigma.point_at(b)
+        for omega in (sigma.point_at(math.inf), sigma.point_at(b - 2.0)):
+            for h in (-1.5, -0.6, 0.3, 1.2):
+                p = sigma.point_at(b + h)
+                expected = -math.copysign(dist_w(omega, o, p), h)
+                assert busemann(omega, sigma, o, p) == pytest.approx(expected, abs=1e-10)
+            x = sample_point(cfg, rng)
+            assert busemann(omega, sigma, o, x, method="limit") == pytest.approx(
+                busemann(omega, sigma, o, x), abs=1e-6)
+
+
+@pytest.mark.parametrize("method", ["closed_form", "limit"])
+def test_busemann_makes_five_moebius_actions(rng, monkeypatch, method):
+    # the chart's anchor, o's parameter, the point ahead, its and x's images
+    sigma = sample_rcircle(SpaceConfig(k=3), rng)
+    omega, o = sigma.point_at(-0.7), sigma.point_at(0.4)
+    x = sample_point(SpaceConfig(k=3), rng)
+    calls = []
+    action = MoebiusMap.__call__
+    monkeypatch.setattr(MoebiusMap, "__call__",
+                        lambda self, p: calls.append(p) or action(self, p))
+    busemann(omega, sigma, o, x, method=method)
+    assert len(calls) == 5
+
+
 def test_busemann_affine_along_rlines():
     omega = infinity(2)
     sigma = canonical_rcircle(2)
@@ -168,6 +202,17 @@ def test_pure_homothety_canonical_and_generic(rng):
     assert dist_w(w, h(x), h(y)) == pytest.approx(lam * dist_w(w, x, y), rel=1e-9)
     with pytest.raises(GeometryError):
         pure_homothety(o, w, -1.0)
+
+
+def test_lifts_reject_non_finite_input():
+    for b1, b2, t in (([0.0], [math.inf], 0.0), ([math.nan], [1.0], 0.0),
+                      ([1.0], [1j], math.inf)):
+        with pytest.raises(GeometryError), np.errstate(invalid="ignore"):
+            horizontal_lift(b1, b2, t)
+    P = Polygon(vertices=[[0.0], [1.0], [1j]])
+    for t0 in (math.inf, math.nan):
+        with pytest.raises(GeometryError):
+            tau(P, t0)
 
 
 def test_horizontal_lift_formula():

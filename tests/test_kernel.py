@@ -25,12 +25,13 @@ from chgeom.core import (
     point,
     same_point,
 )
-from chgeom.foliation import Polygon, _rline_chart, busemann, horizontal_lift, tau
+from chgeom.foliation import Polygon, busemann, horizontal_lift, tau
 from chgeom.projective import (
     FINITE_CONSISTENCY_TOL,
     INFINITY_SLICE_TOL,
     NULL_TOL,
     _norm,
+    chart,
     drop,
     herm,
     lift,
@@ -204,20 +205,17 @@ def test_drop_accepts_lists_and_real_arrays(rng):
 
 
 def _busemann_limit_reference(omega, sigma, o, x):
-    # the defining limit on the full doubling sequence 2**4 .. 2**20; the
-    # Richardson step reads only its last two values
-    g = _rline_chart(omega, sigma, o)
+    # the defining limit on the full doubling sequence 2**4 .. 2**20, in
+    # the isometric chart where sigma is the line {s e} through the
+    # origin; the Richardson step reads only its last two values
+    c = chart(omega, o)
     so = sigma.map.inverse()(o).z[0].real
-    ahead = sigma.point_at(so + 1.0)
-    cval = g(ahead).z[0].real
-    sgn = math.copysign(1.0, cval)
-    lam = dist_w(omega, o, ahead) / abs(cval)
-    x1 = g(x)
-    e1 = np.zeros(sigma.k - 1, dtype=complex)
-    e1[0] = 1.0
+    ahead = c(sigma.point_at(so + 1.0)).z
+    e = ahead / np.linalg.norm(ahead)
+    x1 = c(x)
     vals = []
     for s in [2.0 ** j for j in range(4, 21)]:
-        vals.append(lam * (dist(x1, point(sgn * s * e1, 0.0)) - s))
+        vals.append(dist(x1, point(s * e, 0.0)) - s)
     return 2.0 * vals[-1] - vals[-2]
 
 

@@ -316,3 +316,12 @@ def test_word_matrix_of_a_stack_matches_per_word_product():
     got = word_matrix(lines)
     assert got.shape == (300, 2, 2)
     assert got.tobytes() == np.array(reference).tobytes()
+
+
+def test_zero_and_non_finite_directions_raise():
+    for line in ([0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0]):
+        with pytest.raises(GeometryError):
+            word_matrix([[1.0, 0.0], line])
+    for u in (np.zeros(3), np.array([1.0, math.nan, 0.0])):
+        with pytest.raises(GeometryError):
+            curvature_operator_spectrum(u)
