@@ -31,6 +31,7 @@ import numpy as np
 from .core import (
     BoundaryPoint,
     GeometryError,
+    Points,
     dist,  # noqa: F401 (rebound by the benchmark tracer)
     dist_w,
     gauge,
@@ -51,6 +52,7 @@ from .projective import (
     make_dilation,
     make_rotation,
     make_translation,
+    map_points,
 )
 
 __all__ = [
@@ -119,6 +121,12 @@ class _Circle(_Membership):
     def sample_points(self, n: int) -> list:
         return [self.point_at(s) for s in _sample_params(n, self._STEP)]
 
+    def points_at_stack(self, g: np.ndarray, params: np.ndarray) -> list:
+        """``self.transported(g[i]).point_at(params[i, j])`` for finite parameters,
+        as one stack of points per column j."""
+        return map_points(g @ self.map.g, *(self._canonical_points(params[:, j])
+                                            for j in range(params.shape[1])))
+
     def transported(self, g: MoebiusMap):
         """The image circle g(self), of the same class."""
         return type(self)(map=g @ self.map)
@@ -132,6 +140,9 @@ class CCircle(_Circle):
 
     def _canonical_point(self, tau: float) -> BoundaryPoint:
         return point(np.zeros(self.k - 1), tau)
+
+    def _canonical_points(self, taus: np.ndarray) -> Points:
+        return Points.finite(np.zeros((len(taus), self.k - 1)), taus)
 
     @cached_property
     def _plane_basis(self) -> np.ndarray:
@@ -165,6 +176,11 @@ class RCircle(_Circle):
         z = np.zeros(self.k - 1, dtype=complex)
         z[0] = s
         return point(z, 0.0)
+
+    def _canonical_points(self, s: np.ndarray) -> Points:
+        Z = np.zeros((len(s), self.k - 1), dtype=complex)
+        Z[:, 0] = s
+        return Points.finite(Z, np.zeros(len(s)))
 
     @cached_property
     def _ginv(self) -> np.ndarray:

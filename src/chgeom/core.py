@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,14 @@ __all__ = [
     "dist",
     "dist_batch",
     "dist_w",
+    "Points",
+    "dist_stack",
+    "dist_w_stack",
+    "chordal_sq_stack",
+    "crt_stack",
+    "triples_from_pairings",
+    "harmonicity_residual_stack",
+    "ptolemy_defect_stack",
     "pairing",
     "same_point",
     "chordal",
@@ -179,7 +188,9 @@ def dist_batch(Z1, T1, Z2, T2):
     """Gauge distance for batched finite chart coordinates, broadcasting.
 
     ``Z*`` hold horizontal coordinates along the last axis, ``T*`` the
-    heights; agrees with :func:`dist` entrywise.
+    heights; agrees with :func:`dist` entrywise up to rounding (vector
+    power and fused products).  :func:`dist_stack` is the bit-identical
+    twin, at the price of a Python tail.
     """
     dz = Z2 - Z1
     cross = (Z1 * Z2.conj()).sum(axis=-1).imag
@@ -389,3 +400,115 @@ def ptolemy_defect_squared(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint,
     """Defect of the squared-distance Ptolemy identity; zero on chains."""
     t1, t2, t3 = _ptolemy_terms(x, y, z, u, 2.0)
     return t1 - t2 - t3
+
+
+# ---------------------------------------------------------------------------
+# Stacked forms
+# ---------------------------------------------------------------------------
+#
+# Each ``*_stack`` function returns its scalar twin's value for every row,
+# bit for bit (tests/test_kernel.py pins each pair): it keeps the twin's
+# floating-point operations in their order.  Powers run as a Python tail
+# (``_pow``), as numpy's vector ``power`` rounds differently from ``pow``.
+
+class Points(NamedTuple):
+    """A stack of boundary points: row i is ``point(Z[i], T[i])``, or
+    ``infinity(k)`` where ``inf[i]``, with z = 0 and t = 0 as it holds."""
+
+    Z: np.ndarray     # (n, k-1) complex
+    T: np.ndarray     # (n,) float
+    inf: np.ndarray   # (n,) bool
+
+    @classmethod
+    def finite(cls, Z, T) -> "Points":
+        T = np.asarray(T, dtype=float)
+        return cls(np.asarray(Z, dtype=complex), T, np.zeros(T.shape, dtype=bool))
+
+    @classmethod
+    def at_infinity(cls, k: int, n: int) -> "Points":
+        return cls(np.zeros((n, k - 1), dtype=complex), np.zeros(n), np.ones(n, dtype=bool))
+
+    @classmethod
+    def concat(cls, stacks) -> "Points":
+        return cls(*(np.concatenate(parts) for parts in zip(*stacks)))
+
+    def row(self, i: int) -> BoundaryPoint:
+        if self.inf[i]:
+            return infinity(self.Z.shape[-1] + 1)
+        return BoundaryPoint(z=self.Z[i], t=float(self.T[i]))
+
+
+def _pow(values: np.ndarray, exponent) -> np.ndarray:
+    """``v ** exponent`` in Python float arithmetic, for each entry of a 1-d array."""
+    return np.array([v ** exponent for v in values.tolist()], dtype=float)
+
+
+def dist_stack(P: Points, Q: Points) -> np.ndarray:
+    dz = Q.Z - P.Z
+    dt = Q.T - P.T + 2.0 * np.vecdot(P.Z, Q.Z).imag   # vecdot conjugates as vdot does
+    zz = np.vecdot(dz, dz).real
+    d = _pow(zz * zz + dt * dt, 0.25)
+    return np.where(P.inf | Q.inf, np.where(P.inf & Q.inf, 0.0, math.inf), d)
+
+
+def dist_w_stack(W: Points, P: Points, Q: Points) -> np.ndarray:
+    d, dp, dq = dist_stack(P, Q), dist_stack(P, W), dist_stack(Q, W)
+    p_is_w, q_is_w = dp <= COINCIDENCE_TOL, dq <= COINCIDENCE_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.select(
+            [W.inf, p_is_w & q_is_w, p_is_w | q_is_w, P.inf & Q.inf, P.inf, Q.inf],
+            [d, 0.0, math.inf, 0.0, 1.0 / dq, 1.0 / dp], d / (dp * dq))
+
+
+def _gauge_stack(P: Points) -> np.ndarray:
+    zz = np.vecdot(P.Z, P.Z).real
+    return _pow(zz * zz + P.T * P.T, 0.25)
+
+
+def chordal_sq_stack(P: Points, Q: Points) -> np.ndarray:
+    gp, gq = _pow(_gauge_stack(P), 2), _pow(_gauge_stack(Q), 2)
+    with np.errstate(invalid="ignore"):
+        finite = dist_stack(P, Q) / np.sqrt((1.0 + gp) * (1.0 + gq))
+    one = 1.0 / np.sqrt(1.0 + np.where(P.inf, gq, gp))   # against the finite member
+    return _pow(np.where(P.inf | Q.inf, np.where(P.inf & Q.inf, 0.0, one), finite), 2)
+
+
+def triples_from_pairings(w) -> np.ndarray:
+    """``CrossRatioTriple.from_pairings`` of six pairing arrays: (n, 3) components."""
+    a, b, c = np.sqrt(w[0] * w[5]), np.sqrt(w[1] * w[4]), np.sqrt(w[2] * w[3])
+    m = np.maximum(np.maximum(a, b), c)
+    bad = ~((m > 0) & np.isfinite(m))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise GeometryError(f"degenerate cross-ratio triple ({a[i]}, {b[i]}, {c[i]})")
+    return np.stack([a / m, b / m, c / m], axis=-1)
+
+
+def crt_stack(x: Points, y: Points, z: Points, u: Points) -> np.ndarray:
+    """Components (n, 3) of :func:`crt`; raises as it does if a row is inadmissible."""
+    pts, pairs = (x, y, z, u), list(combinations(range(4), 2))
+    dists = [dist_stack(pts[i], pts[j]) for i, j in pairs]
+    copies = np.ones((4, len(x.T)))
+    for (i, j), d in zip(pairs, dists):
+        copies[[i, j]] += d <= COINCIDENCE_TOL
+    if (copies >= 3).any():
+        raise GeometryError("quadruple is not admissible (an entry repeats 3+ times)")
+    return triples_from_pairings([np.where(d == math.inf, 1.0, 0.5 * d * d) for d in dists])
+
+
+def harmonicity_residual_stack(x: Points, z: Points, y: Points, u: Points) -> np.ndarray:
+    t = crt_stack(x, z, y, u)
+    return np.abs(t[:, 0] - t[:, 2])
+
+
+def ptolemy_defect_stack(x: Points, y: Points, z: Points, u: Points,
+                         power: float = 1.0) -> np.ndarray:
+    """:func:`ptolemy_defect` (power 1) or :func:`ptolemy_defect_squared` (power 2)."""
+    if (x.inf.astype(int) + y.inf + z.inf + u.inf > 1).any():
+        raise GeometryError("at most one entry of a Ptolemy quadruple may be infinite")
+
+    def d(p, q):
+        r = dist_stack(p, q)
+        return np.where(p.inf | q.inf, 1.0, r if power == 1.0 else _pow(r, power))
+
+    return d(x, z) * d(y, u) - d(x, y) * d(z, u) - d(x, u) * d(y, z)

@@ -44,6 +44,7 @@ __all__ = [
     "pure_homothety",
     "horizontal_lift",
     "tau",
+    "tau_stack",
     "signed_area",
 ]
 
@@ -88,10 +89,12 @@ def busemann(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint,
              x: BoundaryPoint, method: str = "closed_form") -> float:
     """Busemann function of the R-line sigma in the space with omega remote.
 
-    Normalized to vanish at ``o`` and to decrease along the direction of
-    increasing canonical parameter of ``sigma``; on the line itself it is
-    minus the arclength from ``o``.  In ``chart(omega, o)`` sigma is the
-    line {s e}, and the closed form is -Re<z_x, e>.  ``method="limit"``
+    Normalized to vanish at ``o`` and to decrease from ``o`` towards
+    ``omega`` along increasing canonical parameter of ``sigma``; on the
+    line itself it is minus the arclength from ``o``.  In
+    ``chart(omega, o)`` sigma is the line {s e}, with e the direction of
+    sigma's point at a parameter between o's and omega's, and the closed
+    form is -Re<z_x, e>.  ``method="limit"``
     evaluates the defining limit d(x, s e) - s at the scales 2**19 and
     2**20 and combines them with one Richardson extrapolation step.
     """
@@ -104,8 +107,13 @@ def busemann(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint,
     if same_point(o, omega):
         raise GeometryError("basepoint and omega coincide")
     c = chart(omega, o)
-    so = sigma.map.inverse()(o).z[0].real
-    ahead = c(sigma.point_at(so + 1.0)).z
+    back = sigma.map.inverse()
+    so = back(o).z[0].real
+    w = back(omega)
+    sw = math.inf if w.infinite else w.z[0].real
+    # orient by a point strictly between o and omega along increasing parameter
+    step = min(1.0, 0.5 * (sw - so)) if so < sw else 1.0
+    ahead = c(sigma.point_at(so + step)).z
     length = _norm(ahead)
     if length < 1e-13:
         raise GeometryError("could not orient the R-line chart")
@@ -211,6 +219,20 @@ def tau(P: Polygon, t0: float) -> tuple:
     for i in range(v.shape[0]):
         t = horizontal_lift(v[i], v[(i + 1) % v.shape[0]], t)
     return t, math.sqrt(abs(t - float(t0)))
+
+
+def tau_stack(V: np.ndarray, t0) -> tuple:
+    """Stacked :func:`tau` of the polygons ``V`` (n, vertices, k-1) from heights ``t0``.
+
+    Each step is :func:`horizontal_lift` on every row, so row i is
+    ``tau(Polygon(vertices=V[i]), t0[i])`` bit for bit; the vertices are
+    not validated.
+    """
+    t0 = np.broadcast_to(np.asarray(t0, dtype=float), V.shape[:1])
+    t, count = t0, V.shape[1]
+    for i in range(count):
+        t = t + 2.0 * (V[:, i] * np.conj(V[:, (i + 1) % count])).sum(axis=-1).imag
+    return t, np.sqrt(np.abs(t - t0))
 
 
 def signed_area(P: Polygon) -> float:

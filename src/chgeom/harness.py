@@ -272,8 +272,8 @@ def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig,
     trial's inputs with ``prop.fn``, one call per trial, and evaluates
     them in blocks of up to BLOCK_TRIALS with ``prop.batched``, one call
     per block.  If a block raises, its trials are re-run one at a time,
-    as batches of one on fresh generators, so that the report names the
-    first trial that raises.
+    as batches of one on fresh generators from one more builder over the
+    block, so that the report names the first trial that raises.
     """
     space = SpaceConfig(k=cfg.k)
     tol = cfg.tol if cfg.tol is not None else prop.tol
@@ -299,10 +299,10 @@ def _run_property(prop: Property, prop_index: int, cfg: SuiteConfig,
         except Exception as exc:  # a raising trial fails its property, not the run
             if len(trials) == 1:
                 yield trials[0], exc
-            else:
+            else:  # fresh generators for the block, from one builder
+                fresh = _trial_rngs(cfg.seed, prop_index, trials)
                 for i in trials:
-                    one = range(i, i + 1)
-                    yield from attempt(one, _trial_rngs(cfg.seed, prop_index, one))
+                    yield from attempt(range(i, i + 1), [next(fresh)])
             return
         yield from zip(trials, residuals)
 

@@ -32,6 +32,21 @@ arithmetic or BLAS ``dot``/``vdot`` in their place would round
 differently in the last bit.  Python scalars are used only where a value
 is compared with a tolerance and goes no further (the tests in ``drop``).
 A point keeps its lift once computed.
+
+The stacked forms (``lift_stack``, ``act_stack``, ``drop_stack``,
+``herm_stack`` and the generator stacks, like those of :mod:`chgeom.core`)
+hold the same contract row by row, and a test pins each one to its scalar
+twin bit for bit.  They run numpy's vector loops where the twin does too,
+with these substitutions, each measured to round identically on every row:
+``np.vecdot`` for ``np.vdot`` and for ``_norm``'s ``dot`` (the same BLAS
+calls on the same strided views); ``G @ X[..., None]`` for ``g @ x``
+(``einsum`` is not identical); ``np.hypot`` for ``abs`` of a complex (the C
+library's ``hypot``; ``np.abs`` of a complex array is not); and real-part
+arithmetic, spelled out, where the twin multiplies numpy complex scalars
+or does Python complex arithmetic, since numpy's vector complex product
+fuses multiply and add.  Complex division stays a vector loop.  Powers
+(``** 0.25``, squares, fourth powers) run as Python tails over the rows,
+because numpy's vector ``power`` rounds differently from ``pow``.
 """
 
 from __future__ import annotations
@@ -52,6 +67,7 @@ from .core import (
     origin,
     point,
     CrossRatioTriple,
+    Points,
     is_admissible,
 )
 
@@ -71,6 +87,14 @@ __all__ = [
     "axis_reflection",
     "crt_projective",
     "distance_pairing_constant",
+    "lift_stack",
+    "act_stack",
+    "map_points",
+    "drop_stack",
+    "herm_stack",
+    "translation_stack",
+    "rotation_stack",
+    "dilation_stack",
 ]
 
 # A null vector is a plain complex ndarray of shape (k+1,), unit Euclidean
@@ -409,3 +433,118 @@ def distance_pairing_constant(k: int) -> float:
     if any(abs(v - c0) > 1e-12 * c0 for v in values):
         raise GeometryError("anchor distances give inconsistent calibration")
     return c0
+
+
+# ---------------------------------------------------------------------------
+# Stacked forms (see the kernel contract above)
+# ---------------------------------------------------------------------------
+
+def _half_null(zz: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``0.5 * (-zz + 1j * t)`` entrywise, step for step in Python's complex
+    arithmetic, which promotes each float to a complex with imaginary part 0."""
+    re1, im1 = 0.0 * t - 0.0, 0.0 + t                        # 1j * t
+    re2 = -zz + re1                                          # -zz + ...; 0.0 + im1 is im1
+    return _complex(0.5 * re2 - 0.0 * im1, 0.5 * im1 + 0.0 * re2)   # 0.5 * ...
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _norm_rows(X: np.ndarray) -> np.ndarray:
+    """:func:`_norm` of every row, on the same strided real and imaginary views."""
+    return np.sqrt(np.vecdot(X.real, X.real) + np.vecdot(X.imag, X.imag))
+
+
+def lift_stack(P: Points) -> np.ndarray:
+    n, m = P.Z.shape
+    X = np.zeros((n, m + 2), dtype=complex)
+    X[:, 0] = _half_null(np.vecdot(P.Z, P.Z).real, P.T)
+    X[:, 1:m + 1] = P.Z
+    X[:, m + 1] = 1.0
+    X[P.inf] = 0.0
+    X[P.inf, 0] = 1.0
+    return X / _norm_rows(X)[:, None]
+
+
+def act_stack(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Each row ``g @ x``, for n matrices ``G`` or one shared."""
+    return (G @ X[..., None])[..., 0]
+
+
+def drop_stack(X: np.ndarray) -> Points:
+    """:func:`drop` of the rows of ``X``; raises with the first raising row's message."""
+    k = X.shape[1] - 1
+    x0, xk = X[:, 0], X[:, k]
+    with np.errstate(all="ignore"):
+        middle = 0.0
+        for j in range(1, k):
+            middle = middle + (X[:, j].real * X[:, j].real + X[:, j].imag * X[:, j].imag)
+        nn = (x0.real * x0.real + x0.imag * x0.imag + xk.real * xk.real
+              + xk.imag * xk.imag + middle)
+        defect = np.abs(2.0 * (x0.real * xk.real + x0.imag * xk.imag) + middle)
+        failures = [(~np.isfinite(nn), "non-finite vector does not define a boundary point"),
+                    (~(nn > 0), "zero vector does not define a boundary point"),
+                    (defect > NULL_TOL * nn, "vector is not null within tolerance")]
+        raising = failures[0][0] | failures[1][0] | failures[2][0]
+        if raising.any():
+            i = int(np.argmax(raising))
+            raise GeometryError(next(msg for bad, msg in failures if bad[i]))
+        inf = np.hypot(xk.real, xk.imag) <= INFINITY_SLICE_TOL * np.sqrt(nn)
+        q = X[:, :k] / X[:, k:]
+        w, zz = q[:, 0], 0.0
+        for j in range(1, k):
+            zz = zz + (q[:, j].real * q[:, j].real + q[:, j].imag * q[:, j].imag)
+        inf |= np.abs(w.real + 0.5 * zz) > FINITE_CONSISTENCY_TOL * (1.0 + np.hypot(w.real, w.imag))
+    return Points(np.where(inf[:, None], 0j, q[:, 1:]), np.where(inf, 0.0, 2.0 * w.imag), inf)
+
+
+def map_points(G: np.ndarray, *stacks: Points) -> list:
+    """``MoebiusMap.__call__`` of ``G`` (one matrix or n) on stacks of n points each."""
+    n = len(stacks[0].T)
+    if G.ndim == 3:
+        G = np.concatenate([G] * len(stacks))
+    moved = drop_stack(act_stack(G, lift_stack(Points.concat(stacks))))
+    return [Points(*(a[j * n:(j + 1) * n] for a in moved)) for j in range(len(stacks))]
+
+
+def herm_stack(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """:func:`herm` along the last axis; its two corner products are numpy scalar
+    products, which do not fuse multiply and add, so they are spelled out."""
+    k = X.shape[-1] - 1
+    Yc = Y.conj()
+    a, b, c, d = X[..., 0], Yc[..., k], X[..., k], Yc[..., 0]
+    middle = (X[..., 1:k] * Yc[..., 1:k]).sum(axis=-1) if k > 1 else np.zeros(a.shape, complex)
+    return _complex(a.real * b.real - a.imag * b.imag + (c.real * d.real - c.imag * d.imag)
+                    + middle.real,
+                    a.real * b.imag + a.imag * b.real + (c.real * d.imag + c.imag * d.real)
+                    + middle.imag)
+
+
+def _identity_stack(n: int, size: int) -> np.ndarray:
+    return np.broadcast_to(_identity(size), (n, size, size)).copy()
+
+
+def translation_stack(Z0: np.ndarray, T0: np.ndarray) -> np.ndarray:
+    n, m = Z0.shape
+    g = _identity_stack(n, m + 2)
+    g[:, 0, 1:m + 1] = -np.conj(Z0)
+    g[:, 0, m + 1] = _half_null(np.vecdot(Z0, Z0).real, np.asarray(T0, dtype=float))
+    g[:, 1:m + 1, m + 1] = Z0
+    return g
+
+
+def rotation_stack(U: np.ndarray) -> np.ndarray:
+    n, m = U.shape[:2]
+    g = _identity_stack(n, m + 2)
+    g[:, 1:m + 1, 1:m + 1] = U
+    return g
+
+
+def dilation_stack(lam: np.ndarray, k: int) -> np.ndarray:
+    g = _identity_stack(len(lam), k + 1)
+    g[:, 0, 0] = lam
+    g[:, k, k] = 1.0 / lam
+    return g

@@ -36,20 +36,25 @@ import numpy as np
 from . import foliation as fo
 from . import tangent as tg
 from .core import (
-    CrossRatioTriple,
-    _pairing_of,
+    Points,
+    _gauge_stack,
+    _pow,
     chordal_sq,
+    chordal_sq_stack,
     crt,
+    crt_stack,
     dist,
+    dist_stack,
     dist_w,
-    gauge,
+    dist_w_stack,
     harmonicity_residual,
-    heis_mul,
+    harmonicity_residual_stack,
     infinity,
     origin,
     point,
     ptolemy_defect,
-    ptolemy_defect_squared,
+    ptolemy_defect_stack,
+    triples_from_pairings,
 )
 from .circles import (
     OFF_CIRCLE_MARGIN,
@@ -75,28 +80,34 @@ from .ortho import (
     standard_rcircle,
 )
 from .projective import (
+    MoebiusMap,
+    _norm_rows,
     _unit_direction,
     chart,
-    crt_projective,
+    dilation_stack,
     distance_pairing_constant,
     drop,
-    herm,
+    drop_stack,
+    herm_stack,
     lift,
-    make_dilation,
+    lift_stack,
     make_inversion,
-    make_rotation,
-    make_translation,
+    map_points,
+    rotation_stack,
+    translation_stack,
 )
 from .sampling import (
     MIN_SEPARATION,
+    _distinct_point_batch,
     _pairwise_dists,
     _point_batch,
     _upper_pairs,
     canonical_chain,
     canonical_rcircle,
+    moebius_params,
+    moebius_stack,
     random_moebius,
     random_unitary,
-    sample_admissible_quadruple,
     sample_chain,
     sample_distinct_points,
     sample_ortho_complement,
@@ -135,6 +146,27 @@ def _rel(value: float, scale: float) -> float:
     return abs(value) / max(scale, 1e-300)
 
 
+def _rel_stack(value, scale):
+    return np.abs(value) / np.maximum(scale, 1e-300)
+
+
+def _max_difference(a, b):
+    """``CrossRatioTriple.max_difference`` of (n, 3) stacks of components."""
+    return np.max(np.abs(a - b), axis=-1)
+
+
+def _drawn_points(draws):
+    """One finite ``Points`` stack per drawn point: each draw starts with the
+    chart coordinates (Z, T) of its points, of shapes (j, k-1) and (j,)."""
+    Z = np.array([d[0] for d in draws])
+    T = np.array([d[1] for d in draws])
+    return [Points.finite(Z[:, j], T[:, j]) for j in range(T.shape[1])]
+
+
+def _origins(k, n):
+    return Points.finite(np.zeros((n, k - 1)), np.zeros(n))
+
+
 def _point_off_chain(cfg, rng, F):
     for _ in range(100):
         u = sample_point(cfg, rng)
@@ -151,15 +183,21 @@ def _distinct_taus(rng, n, lo=-2.5, hi=2.5, sep=0.05):
     raise RuntimeError("could not sample separated parameters")
 
 
-@_law("ptolemy", "core", 1e-12, 2000,
-      "gauge metric and all its inversions satisfy the triangle inequality")
-def metric_triangle_inequality(cfg, rng):
-    x, y, z, w = sample_distinct_points(cfg, rng, 4)
-    worst = 0.0
-    for d in (dist, lambda p, q: dist_w(w, p, q)):
+def _metric_triangle_inequality(cfg, draws):
+    x, y, z, w = _drawn_points(draws)
+    worst = np.zeros(len(draws))
+    for d in (dist_stack, lambda p, q: dist_w_stack(w, p, q)):
         dxz, dxy, dyz = d(x, z), d(x, y), d(y, z)
-        worst = max(worst, _rel(max(0.0, dxz - dxy - dyz), max(dxz, dxy, dyz)))
+        worst = np.maximum(worst, _rel_stack(np.maximum(0.0, dxz - dxy - dyz),
+                                             np.maximum(np.maximum(dxz, dxy), dyz)))
     return worst
+
+
+@_law("ptolemy", "core", 1e-12, 2000,
+      "gauge metric and all its inversions satisfy the triangle inequality",
+      batched=_metric_triangle_inequality)
+def metric_triangle_inequality(cfg, rng):
+    return _distinct_point_batch(cfg, rng, 4)
 
 
 _PTOLEMY_BATCH = 100
@@ -189,66 +227,82 @@ def ptolemy_inequality(cfg, rng):
     return max(worst, defect(Dw))
 
 
+def _circle_ptolemy(circle, power):
+    """The block of a Ptolemy equality on four ordered points of a transported circle."""
+    def block(cfg, draws):
+        params, taus = zip(*draws)
+        pts = circle(cfg.k).points_at_stack(moebius_stack(cfg.k, params), np.array(taus))
+        scale = dist_stack(pts[0], pts[2]) * dist_stack(pts[1], pts[3])
+        if power != 1.0:
+            scale = _pow(scale, power)
+        return _rel_stack(ptolemy_defect_stack(*pts, power=power), np.maximum(scale, 1e-12))
+    return block
+
+
 @_law("ptolemy", "core", 1e-9, 2000,
       "cyclically ordered quadruples on an R-circle satisfy the Ptolemy equality",
-      min_k=2)
+      min_k=2, batched=_circle_ptolemy(canonical_rcircle, 1.0))
 def rcircle_ptolemy_equality(cfg, rng):
-    sigma = sample_rcircle(cfg, rng)
-    ss = _distinct_taus(rng, 4)
-    pts = [sigma.point_at(float(s)) for s in ss]
-    defect = ptolemy_defect(*pts)
-    scale = max(dist(pts[0], pts[2]) * dist(pts[1], pts[3]), 1e-12)
-    return _rel(defect, scale)
+    return moebius_params(cfg, rng), _distinct_taus(rng, 4)
 
 
 @_law("ptolemy", "core", 1e-9, 2000,
-      "ordered quadruples on a chain satisfy the squared Ptolemy equality")
+      "ordered quadruples on a chain satisfy the squared Ptolemy equality",
+      batched=_circle_ptolemy(canonical_chain, 2.0))
 def ccircle_squared_ptolemy_equality(cfg, rng):
-    F = sample_chain(cfg, rng)
-    ss = _distinct_taus(rng, 4)
-    pts = [F.point_at(float(s)) for s in ss]
-    defect = ptolemy_defect_squared(*pts)
-    scale = max((dist(pts[0], pts[2]) * dist(pts[1], pts[3])) ** 2, 1e-12)
-    return _rel(defect, scale)
+    return moebius_params(cfg, rng), _distinct_taus(rng, 4)
+
+
+def _metric_double_inversion(cfg, draws):
+    # c = chart(w) inverts the metric at w; inverting its image at the image
+    # c(inf) of the old infinity must return the original metric, compared
+    # through the cross-ratio products of a quadruple
+    w, *quad = _drawn_points(draws)
+    at_inf = np.array([d[2] for d in draws])[:, None] == range(4)
+    quad = [Points(np.where(at_inf[:, [i]], 0j, p.Z), np.where(at_inf[:, i], 0.0, p.T),
+                   at_inf[:, i]) for i, p in enumerate(quad)]
+    c = make_inversion(cfg.k).g @ translation_stack(-w.Z, -w.T)
+    c_inf, *images = map_points(c, Points.at_infinity(cfg.k, len(draws)), *quad)
+    pairings = []
+    for i, j in combinations(range(4), 2):
+        d = dist_w_stack(c_inf, images[i], images[j])   # inf when an entry is the old infinity
+        pairings.append(np.where(d == math.inf, 1.0, 0.5 * d * d))
+    return _max_difference(triples_from_pairings(pairings), crt_stack(*quad))
 
 
 @_law("ptolemy", "core", 1e-9, 2000,
-      "inverting at a point and back at the old infinity returns the metric")
+      "inverting at a point and back at the old infinity returns the metric",
+      batched=_metric_double_inversion)
 def metric_double_inversion(cfg, rng):
-    # inverting at w and then at the image of the old infinity returns the
-    # original metric; checked through cross-ratio products of a quadruple
-    pts = sample_distinct_points(cfg, rng, 5)
-    w, quad = pts[0], pts[1:]
-    quad[rng.integers(0, 4)] = infinity(cfg.k)
+    return (*_distinct_point_batch(cfg, rng, 5), rng.integers(0, 4))
 
-    def doubly_inverted(p, q):
-        # inf when p or q is infinite, which pairs to 1 as in crt
-        return dist_w(w, p, q) * dist(p, w) * dist(q, w)
 
-    pairings = [_pairing_of(doubly_inverted(quad[i], quad[j]))
-                for i, j in combinations(range(4), 2)]
-    return CrossRatioTriple.from_pairings(pairings).max_difference(crt(*quad))
+def _distance_formula_r4(cfg, draws):
+    k, n = cfg.k, len(draws)
+    params, t_o, Zu, Tu, check_mu = zip(*draws)
+    g = moebius_stack(k, params)
+    u0 = Points.finite(np.array(Zu), Tu)
+    zeros = np.zeros((n, k - 1), dtype=complex)
+    # the projection is equivariant, so its chart value transports; every
+    # twentieth trial also runs the full projection machinery against it
+    omega, o, u, z = map_points(g, Points.at_infinity(k, n), Points.finite(zeros, t_o), u0,
+                                Points.finite(zeros, u0.T))
+    worst = np.zeros(n)
+    for i in np.flatnonzero(check_mu):
+        F = canonical_chain(k).transported(MoebiusMap(g[i], check=False))
+        worst[i] = chordal_sq(z.row(i), mu(F, omega.row(i), u.row(i)))
+    r4, a4, b4 = (_pow(dist_w_stack(omega, p, q), 4) for p, q in ((o, u), (z, u), (o, z)))
+    return np.maximum(worst, _rel_stack(r4 - a4 - b4, np.maximum(np.maximum(r4, a4), b4)))
 
 
 @_law("distance_formula", "circles", 1e-9, 10000,
-      "fourth powers satisfy r^4 = a^4 + b^4 for the chain projection", min_k=2)
+      "fourth powers satisfy r^4 = a^4 + b^4 for the chain projection", min_k=2,
+      batched=_distance_formula_r4)
 def distance_formula_r4(cfg, rng):
-    g = random_moebius(cfg, rng)
-    F0 = canonical_chain(cfg.k)
-    omega = g(infinity(cfg.k))
-    o0 = point(np.zeros(cfg.k - 1), rng.uniform(-4.0, 4.0))
-    u0 = _point_off_chain(cfg, rng, F0)
-    o, u = g(o0), g(u0)
-    # the projection is equivariant, so its chart value transports; every
-    # twentieth trial also runs the full projection machinery against it
-    z = g(point(np.zeros(cfg.k - 1), u0.t))
-    worst = 0.0
-    if rng.uniform() < 0.05:
-        worst = chordal_sq(z, mu(F0.transported(g), omega, u))
-    r = dist_w(omega, o, u)
-    a = dist_w(omega, z, u)
-    b = dist_w(omega, o, z)
-    return max(worst, _rel(r ** 4 - a ** 4 - b ** 4, max(r ** 4, a ** 4, b ** 4)))
+    params = moebius_params(cfg, rng)
+    t_o = rng.uniform(-4.0, 4.0)
+    u0 = _point_off_chain(cfg, rng, canonical_chain(cfg.k))
+    return params, t_o, u0.z, u0.t, rng.uniform() < 0.05
 
 
 @_law("distance_formula", "circles", 1e-8, 1000,
@@ -297,39 +351,51 @@ def er_existence_uniqueness(cfg, rng):
 
 
 def _orthogonal_config(cfg, rng):
-    """A map g and a unit direction; g carries the vertical axis and the
-    R-line of the direction to an orthogonal chain and R-circle."""
-    return random_moebius(cfg, rng), _unit_direction(rng, cfg.k - 1)
+    """The draws of a map g and a unit direction; g carries the vertical axis
+    and the R-line of the direction to an orthogonal chain and R-circle."""
+    return moebius_params(cfg, rng), _unit_direction(rng, cfg.k - 1)
+
+
+def _oc_harmonicity(cfg, draws):
+    k, n = cfg.k, len(draws)
+    params, direction, s = zip(*draws)
+    direction, s, zeros = np.array(direction), np.array(s)[:, None], np.zeros(n)
+    u, v = Points.finite(s * direction, zeros), Points.finite(-s * direction, zeros)
+    on_chain = [Points.finite(np.zeros((n, k - 1)), np.full(n, tau)) for tau in (-1.3, 0.4, 2.0)]
+    go, gom, gu, gv, *gw = map_points(moebius_stack(k, params), _origins(k, n),
+                                      Points.at_infinity(k, n), u, v, *on_chain)
+    worst = harmonicity_residual_stack(go, gu, gom, gv)  # premise on the circle
+    for w in (*gw, gom):
+        worst = np.maximum(worst, harmonicity_residual_stack(w, gu, go, gv))
+    return worst
 
 
 @_law("axioms_o", "circles", 1e-8, 1000,
       "harmonic pairs on an orthogonal R-circle are harmonic against every chain point",
-      min_k=2)
+      min_k=2, batched=_oc_harmonicity)
 def oc_harmonicity(cfg, rng):
-    g, direction = _orthogonal_config(cfg, rng)
-    s = math.exp(rng.uniform(-1.0, 1.0))
-    u, v = point(s * direction, 0.0), point(-s * direction, 0.0)
-    go, gom, gu, gv = (g(p) for p in (origin(cfg.k), infinity(cfg.k), u, v))
-    worst = harmonicity_residual(go, gu, gom, gv)  # premise on the circle
-    for tau in (-1.3, 0.4, 2.0, math.inf):
-        w = infinity(cfg.k) if math.isinf(tau) else point(np.zeros(cfg.k - 1), tau)
-        worst = max(worst, harmonicity_residual(g(w), gu, go, gv))
+    return (*_orthogonal_config(cfg, rng), math.exp(rng.uniform(-1.0, 1.0)))
+
+
+def _or_harmonicity(cfg, draws):
+    k, n = cfg.k, len(draws)
+    params, direction, tau = zip(*draws)
+    direction, tau, zeros = np.array(direction), np.array(tau), np.zeros((n, k - 1))
+    on_circle = [Points.finite(lam * direction, np.zeros(n)) for lam in (-2.0, -0.7, 0.5, 1.8)]
+    gx, gy, go, gom, *gw = map_points(moebius_stack(k, params), Points.finite(zeros, tau),
+                                      Points.finite(zeros, -tau), _origins(k, n),
+                                      Points.at_infinity(k, n), *on_circle)
+    worst = harmonicity_residual_stack(go, gx, gom, gy)
+    for w in gw:
+        worst = np.maximum(worst, harmonicity_residual_stack(w, gx, gom, gy))
     return worst
 
 
 @_law("axioms_o", "circles", 1e-8, 1000,
       "harmonic pairs on a chain are harmonic against every point of an "
-      "orthogonal R-circle", min_k=2)
+      "orthogonal R-circle", min_k=2, batched=_or_harmonicity)
 def or_harmonicity(cfg, rng):
-    g, direction = _orthogonal_config(cfg, rng)
-    tau = math.exp(rng.uniform(-1.0, 1.0))
-    x, y = point(np.zeros(cfg.k - 1), tau), point(np.zeros(cfg.k - 1), -tau)
-    gx, gy, go, gom = (g(p) for p in (x, y, origin(cfg.k), infinity(cfg.k)))
-    worst = harmonicity_residual(go, gx, gom, gy)
-    for lam in (-2.0, -0.7, 0.5, 1.8):
-        w = g(point(lam * direction, 0.0))
-        worst = max(worst, harmonicity_residual(w, gx, gom, gy))
-    return worst
+    return (*_orthogonal_config(cfg, rng), math.exp(rng.uniform(-1.0, 1.0)))
 
 
 def _count_low_clusters(values, threshold):
@@ -594,19 +660,28 @@ def busemann_affine_fibers(cfg, rng):
     return max(worst, _rel(b1 - b2, scale))
 
 
+def _vertical_shift_isometry(cfg, draws):
+    s, Z, T, s2 = (np.array(a) for a in zip(*draws))
+    x, y = (Points.finite(Z[:, j], T[:, j]) for j in (0, 1))
+    zeros = np.zeros((len(draws), cfg.k - 1), dtype=complex)
+    gamma = translation_stack(zeros, s)   # vertical_shift(infinity, s)
+    gx, gy = map_points(gamma, x, y)
+    dxy, root = dist_stack(x, y), np.sqrt(np.abs(s))
+    worst = _rel_stack(dist_stack(gx, gy) - dxy, dxy)
+    worst = np.maximum(worst, _rel_stack(dist_stack(x, gx) - root, root))
+    (cx,) = map_points(translation_stack(zeros, s2) @ gamma, x)
+    disp_sq = _pow(dist_stack(x, cx), 2)
+    total = np.abs(s) + np.abs(s2)
+    return np.maximum(worst, _rel_stack(disp_sq - total, total))
+
+
 @_law("foliation", "foliation", 1e-12, 1000,
-      "vertical shifts are isometries with displacement sqrt(|s|)")
+      "vertical shifts are isometries with displacement sqrt(|s|)",
+      batched=_vertical_shift_isometry)
 def vertical_shift_isometry(cfg, rng):
-    omega = infinity(cfg.k)
     s = rng.uniform(0.5, 4.0) * (1 if rng.uniform() < 0.5 else -1)
-    gamma = fo.vertical_shift(omega, s)
-    x, y = sample_distinct_points(cfg, rng, 2)
-    worst = _rel(dist(gamma(x), gamma(y)) - dist(x, y), dist(x, y))
-    worst = max(worst, _rel(dist(x, gamma(x)) - math.sqrt(abs(s)), math.sqrt(abs(s))))
-    s2 = rng.uniform(0.5, 4.0) * math.copysign(1.0, s)
-    comp = fo.vertical_shift(omega, s2) @ gamma
-    disp_sq = dist(x, comp(x)) ** 2
-    return max(worst, _rel(disp_sq - (abs(s) + abs(s2)), abs(s) + abs(s2)))
+    Z, T = _distinct_point_batch(cfg, rng, 2)
+    return s, Z, T, rng.uniform(0.5, 4.0) * math.copysign(1.0, s)
 
 
 @_law("foliation", "foliation", 1e-8, 500,
@@ -640,76 +715,90 @@ def _shift_to_hit(omega, o, u):
 
 def _random_polygon(cfg, rng, n):
     m = max(cfg.k - 1, 1)
-    verts = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    return fo.Polygon(vertices=verts)
+    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+
+def _lift_additivity(cfg, draws):
+    V = np.array(draws)
+    total = fo.tau_stack(V, 0.0)[0]
+    # split along the segment from vertex 0 to vertex 2
+    split = fo.tau_stack(V[:, :3], 0.0)[0] + fo.tau_stack(V[:, [2, 3, 4, 0]], 0.0)[0]
+    return _rel_stack(total - split, np.maximum(1.0, np.abs(total)))
 
 
 @_law("foliation", "foliation", 1e-12, 1000,
-      "the polygon lift shift is additive under splitting along a segment", min_k=2)
+      "the polygon lift shift is additive under splitting along a segment", min_k=2,
+      batched=_lift_additivity)
 def lift_additivity(cfg, rng):
-    P = _random_polygon(cfg, rng, 5)
-    v = P.vertices
-    i, j = 0, 2
-    first = fo.Polygon(vertices=np.vstack([v[i : j + 1]]))
-    second = fo.Polygon(vertices=np.vstack([v[j:], v[: i + 1]]))
-    dt = lambda Q: fo.tau(Q, 0.0)[0]
-    total, split = dt(P), dt(first) + dt(second)
-    return _rel(total - split, max(1.0, abs(total)))
+    return _random_polygon(cfg, rng, 5)
+
+
+def _lift_homothety_scaling(cfg, draws):
+    V, lam = (np.array(a) for a in zip(*draws))
+    d1 = fo.tau_stack(V, 0.0)[1]
+    d2 = fo.tau_stack(lam[:, None, None] * V, 0.0)[1]
+    return _rel_stack(d2 - lam * d1, np.maximum(1.0, lam * d1))
 
 
 @_law("foliation", "foliation", 1e-12, 1000,
-      "scaling a polygon scales the lift displacement linearly", min_k=2)
+      "scaling a polygon scales the lift displacement linearly", min_k=2,
+      batched=_lift_homothety_scaling)
 def lift_homothety_scaling(cfg, rng):
-    P = _random_polygon(cfg, rng, 4)
-    lam = math.exp(rng.uniform(-1.0, 1.0))
-    d1 = fo.tau(P, 0.0)[1]
-    d2 = fo.tau(P.scaled(lam), 0.0)[1]
-    return _rel(d2 - lam * d1, max(1.0, lam * d1))
+    return _random_polygon(cfg, rng, 4), math.exp(rng.uniform(-1.0, 1.0))
+
+
+def _lift_triangle_area_ratio(cfg, draws):
+    pts, ratio = (np.array(a) for a in zip(*draws))
+    v, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    x = v + ratio[:, None] * (z - v)
+    moved = fo.tau_stack(np.stack([x, y, z], axis=1), 0.0)[1]
+    original = fo.tau_stack(pts, 0.0)[1]
+    lhs = _pow(moved, 2) * _norm_rows(z - v)
+    rhs = _norm_rows(z - x) * _pow(original, 2)
+    return _rel_stack(lhs - rhs, np.maximum(np.maximum(lhs, rhs), 1e-6))
 
 
 @_law("foliation", "foliation", 1e-10, 500,
       "moving a triangle vertex along a side scales the squared displacement by "
-      "the ratio", min_k=2)
+      "the ratio", min_k=2, batched=_lift_triangle_area_ratio)
 def lift_triangle_area_ratio(cfg, rng):
     m = cfg.k - 1
     pts = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
-    v, y, z = pts
-    ratio = rng.uniform(0.05, 0.95) if rng.uniform() < 0.5 else 1.0 / math.pi
-    x = v + ratio * (z - v)
-    T = fo.Polygon(vertices=np.vstack([v, y, z]))
-    P = fo.Polygon(vertices=np.vstack([x, y, z]))
-    lhs = fo.tau(P, 0.0)[1] ** 2 * np.linalg.norm(z - v)
-    rhs = np.linalg.norm(z - x) * fo.tau(T, 0.0)[1] ** 2
-    return _rel(lhs - rhs, max(lhs, rhs, 1e-6))
+    return pts, rng.uniform(0.05, 0.95) if rng.uniform() < 0.5 else 1.0 / math.pi
+
+
+def _lift_diagonal_split(cfg, draws):
+    p, a, b = np.moveaxis(np.array(draws), 1, 0)
+    d1 = fo.tau_stack(np.stack([p, p + a, p + a + b], axis=1), 0.0)[0]
+    d2 = fo.tau_stack(np.stack([p, p + a + b, p + b], axis=1), 0.0)[0]
+    return _rel_stack(d1 - d2, np.maximum(1.0, np.abs(d1)))
 
 
 @_law("foliation", "foliation", 1e-12, 1000,
-      "the two triangles of a parallelogram diagonal have equal lift shifts", min_k=2)
+      "the two triangles of a parallelogram diagonal have equal lift shifts", min_k=2,
+      batched=_lift_diagonal_split)
 def lift_diagonal_split(cfg, rng):
     m = cfg.k - 1
-    p, a, b = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(3))
-    T1 = fo.Polygon(vertices=np.vstack([p, p + a, p + a + b]))
-    T2 = fo.Polygon(vertices=np.vstack([p, p + a + b, p + b]))
-    d1, d2 = fo.tau(T1, 0.0)[0], fo.tau(T2, 0.0)[0]
-    return _rel(d1 - d2, max(1.0, abs(d1)))
+    return [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(3)]
+
+
+def _lift_square_displacement(cfg, draws):
+    t0, lam = (np.array(a) for a in zip(*draws))
+    square = np.zeros((4, cfg.k - 1), dtype=complex)
+    square[1, 0], square[2, 0], square[3, 0] = 1.0, 1.0 + 1j, 1j
+    P = fo.Polygon(vertices=square)
+    exact = max(_rel(fo.tau(P, 0.0)[0] + 4.0, 4.0), _rel(fo.signed_area(P) - 1.0, 1.0))
+    disp = fo.tau_stack(np.broadcast_to(square, (len(draws), *square.shape)), t0)[1]
+    scaled = fo.tau_stack(lam[:, None, None] * square, 0.0)[0]
+    worst = np.maximum(exact, _rel_stack(disp - 2.0, 2.0))
+    return np.maximum(worst, _rel_stack(scaled + 4.0 * lam * lam, 4.0 * lam * lam))
 
 
 @_law("foliation", "foliation", 1e-12, 200,
-      "the unit square lifts to the vertical shift by -4, displacement 2", min_k=2)
+      "the unit square lifts to the vertical shift by -4, displacement 2", min_k=2,
+      batched=_lift_square_displacement)
 def lift_square_displacement(cfg, rng):
-    m = cfg.k - 1
-    square = np.zeros((4, m), dtype=complex)
-    square[1, 0], square[2, 0], square[3, 0] = 1.0, 1.0 + 1j, 1j
-    P = fo.Polygon(vertices=square)
-    _, disp = fo.tau(P, rng.uniform(-2, 2))
-    lam = math.exp(rng.uniform(-0.5, 0.5))
-    worst = max(
-        _rel(fo.tau(P, 0.0)[0] + 4.0, 4.0),
-        _rel(disp - 2.0, 2.0),
-        _rel(fo.tau(P.scaled(lam), 0.0)[0] + 4.0 * lam * lam, 4.0 * lam * lam),
-        _rel(fo.signed_area(P) - 1.0, 1.0),
-    )
-    return worst
+    return rng.uniform(-2, 2), math.exp(rng.uniform(-0.5, 0.5))
 
 
 @_law("holonomy", "tangent", 1e-12, 1,
@@ -1119,26 +1208,35 @@ def suspension_foliations(cfg, rng):
     return worst
 
 
+def _generator_chart_actions(cfg, draws):
+    k = cfg.k
+    Z, T, z0, t0, U, lam = (np.array(a) for a in zip(*draws))
+    p, q = (Points.finite(Z[:, j], T[:, j]) for j in (0, 1))
+    (Tp,) = map_points(translation_stack(z0, t0), p)
+    # the Heisenberg product z0 p
+    zp = Points.finite(z0 + p.Z, t0 + p.T + 2.0 * -np.vecdot(z0, p.Z).imag)
+    worst = chordal_sq_stack(Tp, zp)
+    (Rp,) = map_points(rotation_stack(U), p)
+    worst = np.maximum(worst, chordal_sq_stack(Rp, Points.finite((U @ p.Z[..., None])[..., 0],
+                                                                 p.T)))
+    Dp, Dq = map_points(dilation_stack(lam, k), p, q)
+    scaled = Points.finite(lam[:, None] * p.Z, lam * lam * p.T)
+    worst = np.maximum(worst, chordal_sq_stack(Dp, scaled))
+    dpq = dist_stack(p, q)
+    worst = np.maximum(worst, _rel_stack(dist_stack(Dp, Dq) - lam * dpq, lam * dpq))
+    Ip, Iq = map_points(make_inversion(k).g, p, q)
+    contract = dist_stack(Ip, Iq) * _gauge_stack(p) * _gauge_stack(q)
+    return np.maximum(worst, _rel_stack(contract - dpq, dpq))
+
+
 @_law("automorphisms", "projective", 1e-9, 1000,
       "translations, rotations, dilations and the inversion act by their chart "
-      "formulas")
+      "formulas", batched=_generator_chart_actions)
 def generator_chart_actions(cfg, rng):
-    k = cfg.k
-    p, q = sample_distinct_points(cfg, rng, 2)
+    Z, T = _distinct_point_batch(cfg, rng, 2)
     z0 = sample_point(cfg, rng)
-    T = make_translation(z0.z, z0.t)
-    worst = chordal_sq(T(p), heis_mul(z0, p))
-    U = random_unitary(k - 1, rng)
-    R = make_rotation(U)
-    worst = max(worst, chordal_sq(R(p), point(U @ p.z, p.t)))
-    lam = math.exp(rng.uniform(-1, 1))
-    D = make_dilation(lam, k)
-    worst = max(worst, chordal_sq(D(p), point(lam * p.z, lam * lam * p.t)))
-    worst = max(worst, _rel(dist(D(p), D(q)) - lam * dist(p, q), lam * dist(p, q)))
-    I = make_inversion(k)
-    contract = dist(I(p), I(q)) * gauge(p) * gauge(q)
-    worst = max(worst, _rel(contract - dist(p, q), dist(p, q)))
-    return worst
+    U = random_unitary(cfg.k - 1, rng)
+    return Z, T, z0.z, z0.t, U, math.exp(rng.uniform(-1, 1))
 
 
 @_law("automorphisms", "projective", 1e-10, 200,
@@ -1154,21 +1252,33 @@ def form_preservation_drift(cfg, rng):
     return max(single, comp.form_residual() / 100.0)
 
 
+def _crt_moebius_invariance(cfg, draws):
+    Z, T, params = zip(*draws)
+    quad = _drawn_points(list(zip(Z, T)))
+    images = map_points(moebius_stack(cfg.k, params), *quad)
+    return _max_difference(crt_stack(*quad), crt_stack(*images))
+
+
 @_law("automorphisms", "core", 1e-9, 2000,
-      "cross-ratio triples are invariant under boundary automorphisms")
+      "cross-ratio triples are invariant under boundary automorphisms",
+      batched=_crt_moebius_invariance)
 def crt_moebius_invariance(cfg, rng):
-    quad = sample_admissible_quadruple(cfg, rng)
-    g = random_moebius(cfg, rng)
-    before = crt(*quad)
-    after = crt(*(g(p) for p in quad))
-    return before.max_difference(after)
+    return (*_distinct_point_batch(cfg, rng, 4), moebius_params(cfg, rng))
+
+
+def _crt_cross_model_agreement(cfg, draws):
+    quad = _drawn_points(draws)
+    chart_triples = crt_stack(*quad)   # raises, as crt_projective does, if inadmissible
+    X = np.split(lift_stack(Points.concat(quad)), 4)
+    pairings = [herm_stack(X[i], X[j]) for i, j in combinations(range(4), 2)]
+    projective = triples_from_pairings([np.hypot(w.real, w.imag) for w in pairings])
+    return _max_difference(chart_triples, projective)
 
 
 @_law("automorphisms", "projective", 1e-9, 10000,
-      "chart and projective cross-ratio triples agree")
+      "chart and projective cross-ratio triples agree", batched=_crt_cross_model_agreement)
 def crt_cross_model_agreement(cfg, rng):
-    quad = sample_admissible_quadruple(cfg, rng)
-    return crt(*quad).max_difference(crt_projective(*quad))
+    return _distinct_point_batch(cfg, rng, 4)
 
 
 @_law("automorphisms", "projective", 1e-8, 500,
@@ -1213,18 +1323,25 @@ def reflection_involution_fixedset(cfg, rng):
     return worst
 
 
+def _lift_drop_roundtrip(cfg, draws):
+    k = cfg.k
+    Z, T, lam = (np.array(a) for a in zip(*draws))
+    p = Points.finite(Z, T)
+    X = lift_stack(p)
+    H = herm_stack(X, X)
+    worst = np.maximum(np.hypot(H.real, H.imag), chordal_sq_stack(drop_stack(X), p))
+    worst = np.maximum(worst, chordal_sq_stack(drop_stack(lam[:, None] * X), p))
+    fixed = max(chordal_sq(drop(lift(infinity(k))), infinity(k)),
+                abs(distance_pairing_constant(k) - 2.0))
+    return np.maximum(worst, fixed)
+
+
 @_law("automorphisms", "projective", 1e-10, 2000,
-      "null lifts are null, projectively stable, and invert back to the point")
+      "null lifts are null, projectively stable, and invert back to the point",
+      batched=_lift_drop_roundtrip)
 def lift_drop_roundtrip(cfg, rng):
     p = sample_point(cfg, rng)
-    X = lift(p)
-    worst = abs(herm(X, X))
-    worst = max(worst, chordal_sq(drop(X), p))
-    lam = (rng.standard_normal() + 1j * rng.standard_normal()) or 1.0
-    worst = max(worst, chordal_sq(drop(lam * X), p))
-    worst = max(worst, chordal_sq(drop(lift(infinity(cfg.k))), infinity(cfg.k)))
-    worst = max(worst, abs(distance_pairing_constant(cfg.k) - 2.0))
-    return worst
+    return p.z, p.t, (rng.standard_normal() + 1j * rng.standard_normal()) or 1.0
 
 
 SUITE_NAMES = list(dict.fromkeys(p.suite for p in REGISTRY))

@@ -23,10 +23,13 @@ from .projective import (
     MoebiusMap,
     _norm,
     _unit_direction,
+    dilation_stack,
     make_dilation,
     make_inversion,
     make_rotation,
     make_translation,
+    rotation_stack,
+    translation_stack,
 )
 
 __all__ = [
@@ -37,6 +40,8 @@ __all__ = [
     "sample_admissible_quadruple",
     "random_unitary",
     "random_moebius",
+    "moebius_params",
+    "moebius_stack",
     "sample_chain",
     "sample_rcircle",
     "sample_orthopair",
@@ -49,17 +54,26 @@ SAMPLE_SCALE = 4.0
 MIN_SEPARATION = 1e-3 * SAMPLE_SCALE
 
 
+def _uniform(rng: np.random.Generator, low=0.0, high=1.0, size=None):
+    """``rng.uniform(low, high, size)``, bit for bit and from the same stream.
+
+    numpy returns ``low + (high - low) * rng.random()`` for each entry; this
+    skips its argument handling, which costs three times the draw.
+    """
+    return low + (high - low) * rng.random(size)
+
+
 def sample_point(cfg: SpaceConfig, rng: np.random.Generator) -> BoundaryPoint:
     """A finite point with z uniform in the radius-2 ball, t uniform in [-4, 4]."""
     m = cfg.k - 1
     if m:
         direction = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         norm = _norm(direction)
-        radius = 2.0 * rng.uniform() ** (1.0 / (2 * m))
+        radius = 2.0 * _uniform(rng) ** (1.0 / (2 * m))
         z = radius / norm * direction
     else:
         z = np.zeros(0, dtype=complex)
-    return point(z, rng.uniform(-4.0, 4.0))
+    return point(z, _uniform(rng, -4.0, 4.0))
 
 
 def _point_batch(cfg: SpaceConfig, rng: np.random.Generator, shape: tuple):
@@ -67,12 +81,12 @@ def _point_batch(cfg: SpaceConfig, rng: np.random.Generator, shape: tuple):
     m = cfg.k - 1
     if m:
         raw = rng.standard_normal((*shape, m)) + 1j * rng.standard_normal((*shape, m))
-        radii = 2.0 * rng.uniform(size=(*shape, 1)) ** (1.0 / (2 * m))
+        radii = 2.0 * _uniform(rng, size=(*shape, 1)) ** (1.0 / (2 * m))
         # the row norms, with the arithmetic of np.linalg.norm(raw, axis=-1)
         Z = raw / np.sqrt((raw.conj() * raw).real.sum(axis=-1, keepdims=True)) * radii
     else:
         Z = np.zeros((*shape, 0), dtype=complex)
-    return Z, rng.uniform(-4.0, 4.0, size=shape)
+    return Z, _uniform(rng, -4.0, 4.0, size=shape)
 
 
 def _pairwise_dists(Z, T):
@@ -87,13 +101,19 @@ def _upper_pairs(n: int):
     return np.triu_indices(n, 1)
 
 
-def sample_distinct_points(cfg: SpaceConfig, rng: np.random.Generator, n: int) -> list:
+def _distinct_point_batch(cfg: SpaceConfig, rng: np.random.Generator, n: int):
+    """Chart coordinates (Z, T) of the n points ``sample_distinct_points`` draws."""
     for _ in range(200):
         Z, T = _point_batch(cfg, rng, (n,))
         D = _pairwise_dists(Z, T)
         if n == 1 or float(D[_upper_pairs(n)].min()) >= MIN_SEPARATION:
-            return [BoundaryPoint(z=Z[i], t=float(T[i])) for i in range(n)]
+            return Z, T
     raise GeometryError("rejection sampling failed to separate points")
+
+
+def sample_distinct_points(cfg: SpaceConfig, rng: np.random.Generator, n: int) -> list:
+    Z, T = _distinct_point_batch(cfg, rng, n)
+    return [BoundaryPoint(z=Z[i], t=float(T[i])) for i in range(n)]
 
 
 def sample_admissible_quadruple(cfg: SpaceConfig, rng: np.random.Generator) -> tuple:
@@ -104,23 +124,25 @@ def random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     if m == 0:
         return np.zeros((0, 0), dtype=complex)
     if m == 1:
-        return np.array([[np.exp(2j * math.pi * rng.uniform())]])
+        return np.array([[np.exp(2j * math.pi * _uniform(rng))]])
     if m == 2:
         # SU(2) from a unit quaternion pair, times a random phase
         v = rng.standard_normal(4)
         v /= _norm(v)
         a, b = v[0] + 1j * v[1], v[2] + 1j * v[3]
         U = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
-        return U * np.exp(2j * math.pi * rng.uniform())
+        return U * np.exp(2j * math.pi * _uniform(rng))
     A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     Q, R = np.linalg.qr(A)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
-def random_moebius(cfg: SpaceConfig, rng: np.random.Generator,
-                   allow_inversion: bool = True) -> MoebiusMap:
-    """A generic boundary automorphism from the generator factorization.
+def moebius_params(cfg: SpaceConfig, rng: np.random.Generator,
+                   allow_inversion: bool = True) -> tuple:
+    """The draws of :func:`random_moebius`, in its order.
 
+    Returns the translation (z0, t0), the rotation's unitary, the
+    dilation coefficient and whether the inversion is composed.
     Parameter ranges are kept moderate: the condition number of the
     matrix squares the shrinkage of projective residuals, so wild
     translations or dilations would blur the separation between on- and
@@ -128,15 +150,42 @@ def random_moebius(cfg: SpaceConfig, rng: np.random.Generator,
     """
     m = cfg.k - 1
     if m:
-        z0 = _unit_direction(rng, m) * 1.5 * rng.uniform() ** (1.0 / (2 * m))
+        z0 = _unit_direction(rng, m) * 1.5 * _uniform(rng) ** (1.0 / (2 * m))
     else:
         z0 = np.zeros(0, dtype=complex)
-    g = make_translation(z0, rng.uniform(-2.0, 2.0))
-    g = g @ make_rotation(random_unitary(m, rng))
-    g = g @ make_dilation(math.exp(rng.uniform(-0.5, 0.5)), cfg.k)
-    if allow_inversion and rng.uniform() < 0.5:
-        g = g @ make_inversion(cfg.k)
+    t0 = _uniform(rng, -2.0, 2.0)
+    U = random_unitary(m, rng)
+    lam = math.exp(_uniform(rng, -0.5, 0.5))
+    return z0, t0, U, lam, bool(allow_inversion and _uniform(rng) < 0.5)
+
+
+def moebius_stack(k: int, params) -> np.ndarray:
+    """The matrices T R D (I) of a sequence of ``moebius_params``, shape (n, k+1, k+1).
+
+    Each is the product ``random_moebius`` forms, left to right, bit for bit.
+    """
+    n, m = len(params), k - 1
+    z0, t0, U, lam, inverted = zip(*params)
+    g = translation_stack(np.array(z0, dtype=complex).reshape(n, m), np.array(t0))
+    g = g @ rotation_stack(np.array(U, dtype=complex).reshape(n, m, m))
+    g = g @ dilation_stack(np.array(lam), k)
+    inverted = np.array(inverted)
+    if inverted.any():
+        g[inverted] = g[inverted] @ make_inversion(k).g
     return g
+
+
+def random_moebius(cfg: SpaceConfig, rng: np.random.Generator,
+                   allow_inversion: bool = True) -> MoebiusMap:
+    """A generic boundary automorphism from the generator factorization.
+
+    Translation, rotation, dilation and, with probability 1/2 when
+    allowed, the gauge inversion; see :func:`moebius_params`.
+    :func:`moebius_stack` builds the same matrices for many draws.
+    """
+    z0, t0, U, lam, inverted = moebius_params(cfg, rng, allow_inversion)
+    g = make_translation(z0, t0) @ make_rotation(U) @ make_dilation(lam, cfg.k)
+    return g @ make_inversion(cfg.k) if inverted else g
 
 
 @lru_cache(maxsize=None)
@@ -193,12 +242,12 @@ def sample_ortho_complement(cfg: SpaceConfig, rng: np.random.Generator) -> Ortho
         raise GeometryError("the complement is empty for k = 1")
     for _ in range(50):
         F = sample_chain(cfg, rng)
-        taus = np.sort(rng.uniform(-2.0, 2.0, size=2))
+        taus = np.sort(_uniform(rng, -2.0, 2.0, size=2))
         if taus[1] - taus[0] < 0.5:
             continue
         omega = F.point_at(float(taus[0]))
         o = F.point_at(float(taus[1]))
-        rho = math.exp(rng.uniform(-0.35, 0.35))
+        rho = math.exp(_uniform(rng, -0.35, 0.35))
         A = OrthoComplement(F=F, eta=canonical_involution(F, omega, o, rho))
         try:
             chart, radius = A.chart_and_radius

@@ -135,9 +135,19 @@ def test_busemann_is_minus_signed_arclength_on_transported_rlines(rng, k):
                 busemann(omega, sigma, o, x), abs=1e-6)
 
 
+def test_busemann_orients_by_a_point_before_omega():
+    # omega one half parameter ahead of o: the point at o's parameter + 1
+    # lies past omega, so it cannot orient the line
+    sigma = canonical_rcircle(2)
+    omega, o = sigma.point_at(0.5), sigma.point_at(0.0)
+    assert busemann(omega, sigma, o, sigma.point_at(0.25)) == pytest.approx(-2.0, abs=1e-12)
+    assert busemann(omega, sigma, o, sigma.point_at(-0.5)) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("method", ["closed_form", "limit"])
-def test_busemann_makes_five_moebius_actions(rng, monkeypatch, method):
-    # the chart's anchor, o's parameter, the point ahead, its and x's images
+def test_busemann_makes_six_moebius_actions(rng, monkeypatch, method):
+    # the chart's anchor, o's and omega's parameters, the point ahead, its
+    # and x's images
     sigma = sample_rcircle(SpaceConfig(k=3), rng)
     omega, o = sigma.point_at(-0.7), sigma.point_at(0.4)
     x = sample_point(SpaceConfig(k=3), rng)
@@ -146,7 +156,7 @@ def test_busemann_makes_five_moebius_actions(rng, monkeypatch, method):
     monkeypatch.setattr(MoebiusMap, "__call__",
                         lambda self, p: calls.append(p) or action(self, p))
     busemann(omega, sigma, o, x, method=method)
-    assert len(calls) == 5
+    assert len(calls) == 6
 
 
 def test_busemann_affine_along_rlines():

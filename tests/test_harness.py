@@ -185,7 +185,7 @@ def test_run_makes_no_seed_sequence_per_trial(monkeypatch):
     monkeypatch.setattr(harness, "_pcg64_seeds",
                         lambda e, hash=harness._pcg64_seeds: hashes.append(1) or hash(e))
     cfg = SuiteConfig(suite="all", k=2, seed=5)
-    for name in ("metric_double_inversion", "sectional_bounds"):  # per-trial, batched
+    for name in ("ptolemy_inequality", "sectional_bounds"):  # per-trial, batched
         i = next(i for i, p in enumerate(REGISTRY) if p.name == name)
         seeds = []
         prop = replace(REGISTRY[i], fn=lambda cfg, rng, fn=REGISTRY[i].fn:
@@ -196,6 +196,13 @@ def test_run_makes_no_seed_sequence_per_trial(monkeypatch):
         assert hashes == [1]
         assert [s.entropy for s in seeds] == [(5, i, t) for t in range(200)]
         assert not any(isinstance(s, np.random.bit_generator.SeedSequence) for s in seeds)
+    # a raising block re-runs its trials on generators from one more builder
+    i = next(i for i, p in enumerate(REGISTRY) if p.name == "sectional_bounds")
+    prop = replace(REGISTRY[i], fn=_trial_index, batched=_block_raises_at_trial_3)
+    hashes.clear()
+    rep = _run_property(prop, i, cfg, range(200))
+    assert rep.worst_trial == 3 and rep.error == "GeometryError: injected at trial 3"
+    assert hashes == [1, 1]
 
 
 def _residual_on_default_rng(i, k, seed, trial):
@@ -205,7 +212,8 @@ def _residual_on_default_rng(i, k, seed, trial):
     return float(r if p.batched is None else p.batched(space, [r])[0])
 
 
-@pytest.mark.parametrize("name", ["metric_double_inversion", "curvature_symmetries"])
+@pytest.mark.parametrize("name", ["metric_double_inversion", "curvature_symmetries",
+                                  "wharm_product_identity"])
 def test_replay_beyond_two_to_the_32(name, capsys):
     i = next(i for i, p in enumerate(REGISTRY) if p.name == name)
     trial = 2**32 + 17
@@ -395,15 +403,28 @@ def test_batched_law_draws_once_per_trial_and_evaluates_per_block():
     assert len(draws) == 200 and blocks == [64, 64, 64, 8]
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+BATCHED_LAWS = [
+    "metric_triangle_inequality", "rcircle_ptolemy_equality",
+    "ccircle_squared_ptolemy_equality", "metric_double_inversion", "distance_formula_r4",
+    "oc_harmonicity", "or_harmonicity", "vertical_shift_isometry", "lift_additivity",
+    "lift_homothety_scaling", "lift_triangle_area_ratio", "lift_diagonal_split",
+    "lift_square_displacement", "curvature_symmetries", "polarization_identity",
+    "curvature_operator_spectrum", "holonomy_identity", "sectional_bounds",
+    "unitary_reflection_transitivity", "generator_chart_actions", "crt_moebius_invariance",
+    "crt_cross_model_agreement", "lift_drop_roundtrip",
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_block_equals_batches_of_one(k):
     # replay runs a batch of one, so it must reproduce the block's rows bit
-    # for bit; k = 4 lies outside the golden corpus
+    # for bit, in every dimension a law runs in
     batched = [(i, p) for i, p in enumerate(REGISTRY) if p.batched is not None]
-    assert [p.name for _, p in batched] == [
-        p.name for p in suite_properties("holonomy") if p.name != "curvature_golden_values"]
+    assert [p.name for _, p in batched] == BATCHED_LAWS
     space = SpaceConfig(k=k)
     for i, p in batched:
+        if k < p.min_k:
+            continue
         draws = [p.fn(space, np.random.default_rng((7, i, t))) for t in range(200)]
         block = np.asarray(p.batched(space, draws), dtype=float)
         ones = [np.asarray(p.batched(space, [p.fn(space, np.random.default_rng((7, i, t)))]),

@@ -14,33 +14,60 @@ from chgeom.core import (
     CrossRatioTriple,
     BoundaryPoint,
     GeometryError,
+    Points,
     SpaceConfig,
+    chordal_sq,
+    chordal_sq_stack,
     crt,
+    crt_stack,
     dist,
+    dist_stack,
     dist_w,
+    dist_w_stack,
+    harmonicity_residual,
+    harmonicity_residual_stack,
     infinity,
     is_admissible,
     origin,
     pairing,
     point,
+    ptolemy_defect,
+    ptolemy_defect_squared,
+    ptolemy_defect_stack,
     same_point,
+    triples_from_pairings,
 )
-from chgeom.foliation import Polygon, busemann, horizontal_lift, tau
+from chgeom.foliation import Polygon, busemann, horizontal_lift, tau, tau_stack
 from chgeom.projective import (
     FINITE_CONSISTENCY_TOL,
     INFINITY_SLICE_TOL,
     NULL_TOL,
     _norm,
+    act_stack,
     chart,
+    crt_projective,
+    dilation_stack,
     drop,
+    drop_stack,
     herm,
+    herm_stack,
     lift,
+    lift_stack,
+    make_dilation,
     make_inversion,
+    make_rotation,
+    make_translation,
+    map_points,
+    rotation_stack,
+    translation_stack,
 )
 from chgeom.sampling import (
     _point_batch,
+    _uniform,
     canonical_chain,
     canonical_rcircle,
+    moebius_params,
+    moebius_stack,
     random_moebius,
     sample_point,
     sample_rcircle,
@@ -210,7 +237,9 @@ def _busemann_limit_reference(omega, sigma, o, x):
     # origin; the Richardson step reads only its last two values
     c = chart(omega, o)
     so = sigma.map.inverse()(o).z[0].real
-    ahead = c(sigma.point_at(so + 1.0)).z
+    w = sigma.map.inverse()(omega)
+    sw = math.inf if w.infinite else w.z[0].real
+    ahead = c(sigma.point_at(so + (min(1.0, 0.5 * (sw - so)) if so < sw else 1.0))).z
     e = ahead / np.linalg.norm(ahead)
     x1 = c(x)
     vals = []
@@ -340,3 +369,172 @@ def test_constant_instances_are_shared_and_read_only(k):
         assert not a.flags.writeable
     # the shared points keep one lift
     assert lift(infinity(k)) is lift(infinity(k))
+
+
+# ---------------------------------------------------------------------------
+# Stacked forms against their scalar twins, bit for bit
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+def _stack(points):
+    k = points[0].k
+    return Points(np.array([p.z for p in points], dtype=complex).reshape(len(points), k - 1),
+                  np.array([p.t for p in points]), np.array([p.infinite for p in points]))
+
+
+def _point_pool(rng, k, n):
+    """n points, mostly finite and spread over scales, some at infinity and some repeated."""
+    space = SpaceConfig(k=k)
+    pts = []
+    for i in range(n):
+        p = sample_point(space, rng)
+        scale = math.exp(rng.uniform(-3.0, 3.0))
+        pts.append([p, point(scale * p.z, scale * scale * p.t), infinity(k), origin(k)][i % 7 % 4]
+                   if i % 7 < 4 else p)
+    return pts
+
+
+def _same_points(P, pts):
+    assert P.inf.tolist() == [p.infinite for p in pts]
+    for i, p in enumerate(pts):
+        if not p.infinite:
+            assert _bits(P.Z[i]) == _bits(p.z) and _bits(P.T[i]) == _bits(p.t)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_lift_and_act_stacks_match_scalar(rng, k):
+    pts = _point_pool(rng, k, 300)
+    X = lift_stack(_stack(pts))
+    assert _bits(X) == _bits(np.array([lift(p) for p in pts]))
+    G = np.array([random_moebius(SpaceConfig(k=k), rng).g for _ in pts])
+    assert _bits(act_stack(G, X)) == _bits(np.array([g @ x for g, x in zip(G, X)]))
+    assert _bits(act_stack(G[0], X)) == _bits(np.array([G[0] @ x for x in X]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_drop_stack_matches_scalar(rng, k):
+    space = SpaceConfig(k=k)
+    rows = []
+    for _ in range(150):
+        g = random_moebius(space, rng)
+        X = g.g @ lift(sample_point(space, rng))
+        rows += [X, (rng.standard_normal() + 1j * rng.standard_normal()) * X,
+                 g.g @ lift(infinity(k)),
+                 lift(infinity(k)) + 1e-12 * _random_vector(rng, k + 1, 1.0)]
+    rows = np.array(rows)
+    P = drop_stack(rows)
+    _same_points(P, [drop(X) for X in rows])
+    # a stack raises exactly when one of its rows does, with that row's message
+    for bad in (_random_vector(rng, k + 1, 1.0), np.zeros(k + 1, dtype=complex),
+                np.full(k + 1, np.nan, dtype=complex), np.full(k + 1, 1e200, dtype=complex)):
+        with pytest.raises(GeometryError) as scalar:
+            drop(bad)
+        with pytest.raises(GeometryError) as stacked:
+            drop_stack(np.vstack([rows[:5], bad, rows[5:9]]))
+        assert str(stacked.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_herm_stack_matches_scalar(rng, k):
+    for scale in (1e-8, 1.0, 1e8):
+        X, Y = _random_vector(rng, (200, k + 1), scale), _random_vector(rng, (200, k + 1), scale)
+        H = herm_stack(X, Y)
+        assert _bits(H) == _bits(np.array([herm(x, y) for x, y in zip(X, Y)]))
+        # np.hypot is the abs a scalar pairing takes
+        assert _bits(np.hypot(H.real, H.imag)) == _bits(np.array([abs(herm(x, y))
+                                                                   for x, y in zip(X, Y)]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_metric_stacks_match_scalar(rng, k):
+    pts = [_point_pool(rng, k, 280) for _ in range(4)]
+    P = [_stack(p) for p in pts]
+    rows = list(zip(*pts))
+    assert _bits(dist_stack(P[0], P[1])) == _bits([dist(a, b) for a, b, *_ in rows])
+    assert _bits(dist_w_stack(P[0], P[1], P[2])) == _bits([dist_w(*r[:3]) for r in rows])
+    assert _bits(chordal_sq_stack(P[0], P[1])) == _bits([chordal_sq(a, b) for a, b, *_ in rows])
+    # crt and the laws built on it raise on a stack with one inadmissible row
+    admissible = [i for i, r in enumerate(rows) if is_admissible(r)
+                  and sum(p.infinite for p in r) <= 1]
+    assert 0 < len(admissible) < len(rows)
+    Q = [Points(p.Z[admissible], p.T[admissible], p.inf[admissible]) for p in P]
+    good = [rows[i] for i in admissible]
+    assert _bits(crt_stack(*Q)) == _bits([crt(*r).components() for r in good])
+    assert _bits(harmonicity_residual_stack(*Q)) == _bits([harmonicity_residual(*r)
+                                                           for r in good])
+    assert _bits(ptolemy_defect_stack(*Q)) == _bits([ptolemy_defect(*r) for r in good])
+    assert _bits(ptolemy_defect_stack(*Q, power=2.0)) == _bits(
+        [ptolemy_defect_squared(*r) for r in good])
+    with pytest.raises(GeometryError, match="not admissible"):
+        crt_stack(*P)
+    # the projective triple from stacked lifts and pairings
+    X = [lift_stack(q) for q in Q]
+    W = [herm_stack(X[i], X[j]) for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    assert _bits(triples_from_pairings([np.hypot(w.real, w.imag) for w in W])) == _bits(
+        [crt_projective(*r).components() for r in good])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_moebius_stack_matches_random_moebius(k):
+    space = SpaceConfig(k=k)
+    params = [moebius_params(space, np.random.default_rng((k, i)), i % 3 != 0)
+              for i in range(200)]
+    maps = [random_moebius(space, np.random.default_rng((k, i)), i % 3 != 0)
+            for i in range(200)]
+    assert _bits(moebius_stack(k, params)) == _bits(np.array([g.g for g in maps]))
+    z0, t0, U, lam, _ = zip(*params)
+    z0 = np.array(z0).reshape(200, k - 1)
+    assert _bits(translation_stack(z0, np.array(t0))) == _bits(
+        [make_translation(z, t).g for z, t in zip(z0, t0)])
+    assert _bits(rotation_stack(np.array(U).reshape(200, k - 1, k - 1))) == _bits(
+        [make_rotation(u).g for u in U])
+    assert _bits(dilation_stack(np.array(lam), k)) == _bits(
+        [make_dilation(a, k).g for a in lam])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_map_points_and_circle_stacks_match_scalar(rng, k):
+    space = SpaceConfig(k=k)
+    maps = [random_moebius(space, rng) for _ in range(100)]
+    G = np.array([g.g for g in maps])
+    pools = [_point_pool(rng, k, 100) for _ in range(2)]
+    for P, pts in zip(map_points(G, *(_stack(p) for p in pools)), pools):
+        _same_points(P, [g(p) for g, p in zip(maps, pts)])
+    _same_points(map_points(G[0], _stack(pools[0]))[0], [maps[0](p) for p in pools[0]])
+    params = rng.uniform(-3.0, 3.0, size=(100, 2))
+    circles = [canonical_chain(k)] + ([canonical_rcircle(k)] if k > 1 else [])
+    for circle in circles:
+        stacks = circle.points_at_stack(G, params)
+        for j, P in enumerate(stacks):
+            _same_points(P, [circle.transported(g).point_at(float(s))
+                             for g, s in zip(maps, params[:, j])])
+
+
+def test_ptolemy_stack_raises_with_two_infinite_entries():
+    P = _stack([origin(2), infinity(2)])
+    Q = _stack([infinity(2), infinity(2)])
+    R = _stack([point([1.0], 0.0), point([2.0], 0.5)])
+    with pytest.raises(GeometryError, match="at most one entry"):
+        ptolemy_defect_stack(R, P, Q, R)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_tau_stack_matches_tau(rng, m):
+    for n in range(2, 7):
+        V = _random_vector(rng, (40, n, m), 1.0)
+        t0 = rng.uniform(-2.0, 2.0, size=40)
+        t, disp = tau_stack(V, t0)
+        assert _bits(np.stack([t, disp], axis=-1)) == _bits(
+            [tau(Polygon(vertices=v), s) for v, s in zip(V, t0)])
+
+
+def test_uniform_is_numpys_uniform():
+    for low, high in ((0.0, 1.0), (-2.0, 2.0), (-4.0, 4.0), (-0.5, 0.5), (-0.35, 0.35)):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for size in (None, 5, (3, 1)):
+            for _ in range(200):
+                assert _bits(_uniform(a, low, high, size)) == _bits(b.uniform(low, high, size))
+        assert a.bit_generator.state == b.bit_generator.state
