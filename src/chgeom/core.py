@@ -480,7 +480,7 @@ def triples_from_pairings(w) -> np.ndarray:
     bad = ~((m > 0) & np.isfinite(m))
     if bad.any():
         i = int(np.argmax(bad))
-        raise GeometryError(f"degenerate cross-ratio triple ({a[i]}, {b[i]}, {c[i]})")
+        CrossRatioTriple.from_components(float(a[i]), float(b[i]), float(c[i]))   # raises
     return np.stack([a / m, b / m, c / m], axis=-1)
 
 

@@ -475,7 +475,7 @@ def act_stack(G: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def drop_stack(X: np.ndarray) -> Points:
-    """:func:`drop` of the rows of ``X``; raises with the first raising row's message."""
+    """:func:`drop` of the rows of ``X``; raises as ``drop`` does on the first raising row."""
     k = X.shape[1] - 1
     x0, xk = X[:, 0], X[:, k]
     with np.errstate(all="ignore"):
@@ -485,19 +485,16 @@ def drop_stack(X: np.ndarray) -> Points:
         nn = (x0.real * x0.real + x0.imag * x0.imag + xk.real * xk.real
               + xk.imag * xk.imag + middle)
         defect = np.abs(2.0 * (x0.real * xk.real + x0.imag * xk.imag) + middle)
-        failures = [(~np.isfinite(nn), "non-finite vector does not define a boundary point"),
-                    (~(nn > 0), "zero vector does not define a boundary point"),
-                    (defect > NULL_TOL * nn, "vector is not null within tolerance")]
-        raising = failures[0][0] | failures[1][0] | failures[2][0]
+        raising = ~(np.isfinite(nn) & (nn > 0) & (defect <= NULL_TOL * nn))
         if raising.any():
-            i = int(np.argmax(raising))
-            raise GeometryError(next(msg for bad, msg in failures if bad[i]))
+            drop(X[int(np.argmax(raising))])   # raises, with drop's own message
         inf = np.hypot(xk.real, xk.imag) <= INFINITY_SLICE_TOL * np.sqrt(nn)
         q = X[:, :k] / X[:, k:]
         w, zz = q[:, 0], 0.0
         for j in range(1, k):
             zz = zz + (q[:, j].real * q[:, j].real + q[:, j].imag * q[:, j].imag)
-        inf |= np.abs(w.real + 0.5 * zz) > FINITE_CONSISTENCY_TOL * (1.0 + np.hypot(w.real, w.imag))
+        inf |= (np.abs(w.real + 0.5 * zz)
+                > FINITE_CONSISTENCY_TOL * (1.0 + np.hypot(w.real, w.imag)))
     return Points(np.where(inf[:, None], 0j, q[:, 1:]), np.where(inf, 0.0, 2.0 * w.imag), inf)
 
 

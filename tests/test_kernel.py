@@ -538,3 +538,12 @@ def test_uniform_is_numpys_uniform():
             for _ in range(200):
                 assert _bits(_uniform(a, low, high, size)) == _bits(b.uniform(low, high, size))
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_triples_from_pairings_raises_as_from_pairings():
+    w = [np.array([1.0, 0.0, 2.0]) for _ in range(6)]
+    with pytest.raises(GeometryError) as scalar:
+        CrossRatioTriple.from_pairings([0.0] * 6)
+    with pytest.raises(GeometryError) as stacked:
+        triples_from_pairings(w)
+    assert str(stacked.value) == str(scalar.value)
