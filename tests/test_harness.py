@@ -1,11 +1,13 @@
 """Suite registry, determinism, report formats, CLI exit codes."""
 
+import importlib.util
 import json
 import math
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,3 +557,17 @@ def test_sectional_bounds_catches_scaled_curvature(k, monkeypatch):
     sec_k = tangent.sec_k
     monkeypatch.setattr(tangent, "sec_k", lambda p, q: 1.01 * sec_k(p, q))
     assert not _sectional_bounds_report(k, 0).passed
+
+
+def test_law_timings_script_lists_every_law_of_the_suite(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "law_timings.py"
+    spec = importlib.util.spec_from_file_location("law_timings", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--suite", "ptolemy", "--dim", "2", "--trials", "50", "--repeat", "2",
+                        "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert sorted(r["name"] for r in rows) == sorted(p.name for p in suite_properties("ptolemy"))
+    assert [r["ms"] for r in rows] == sorted((r["ms"] for r in rows), reverse=True)
+    assert all(r["pass"] and r["us_per_trial"] > 0 for r in rows)
+    assert {r["name"]: r["batched"] for r in rows}["metric_double_inversion"]
