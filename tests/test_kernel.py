@@ -386,14 +386,15 @@ def _stack(points):
 
 
 def _point_pool(rng, k, n):
-    """n points, mostly finite and spread over scales, some at infinity and some repeated."""
+    """n points: sampled ones, dilated ones over six orders of magnitude, and
+    every seventh at infinity and every seventh at the origin (rows repeat)."""
     space = SpaceConfig(k=k)
     pts = []
     for i in range(n):
         p = sample_point(space, rng)
         scale = math.exp(rng.uniform(-3.0, 3.0))
-        pts.append([p, point(scale * p.z, scale * scale * p.t), infinity(k), origin(k)][i % 7 % 4]
-                   if i % 7 < 4 else p)
+        special = {2: infinity(k), 3: origin(k), 1: point(scale * p.z, scale * scale * p.t)}
+        pts.append(special.get(i % 7, p))
     return pts
 
 
