@@ -6,8 +6,7 @@ Every law of the suite runs the trials a ``verify`` run with the same
 options gives it (``--trials`` scaled by the law's reference count), with
 ``harness._run_property``, ``--repeat`` times in a row.  The table lists
 the best time of each law in ms and in us per trial, costliest first, and
-ends with the sum of the best times.  ``--format json`` prints the same
-rows as a JSON list.  The script imports the package from the ``src``
+ends with the sum of the best times.  The script imports the package from the ``src``
 directory of its own checkout, runs in one process and one thread, and
 exits 1 if a law fails in any repeat.
 """
@@ -15,7 +14,6 @@ exits 1 if a law fails in any repeat.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -56,24 +54,20 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=600)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=5, help="runs per law; the best counts")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
     cfg = SuiteConfig(suite=args.suite, k=args.dim, trials=args.trials, seed=args.seed)
     rows = law_timings(cfg, args.repeat)
-    if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        print(f"suite {cfg.suite}  (k={cfg.k}, trials={cfg.trials}, seed={cfg.seed}, "
-              f"best of {args.repeat})")
-        print(f"  {'law':<36} {'trials':>6} {'ms':>9} {'us/trial':>9}")
-        for row in rows:
-            mark = " batched" if row["batched"] else ""
-            fail = "" if row["pass"] else "  FAIL"
-            print(f"  {row['name']:<36} {row['trials']:>6} {row['ms']:>9.2f} "
-                  f"{row['us_per_trial']:>9.1f}{mark}{fail}")
-        print(f"  {'sum':<36} {'':>6} {sum(row['ms'] for row in rows):>9.2f}")
+    print(f"suite {cfg.suite}  (k={cfg.k}, trials={cfg.trials}, seed={cfg.seed}, "
+          f"best of {args.repeat})")
+    print(f"  {'law':<36} {'trials':>6} {'ms':>9} {'us/trial':>9}")
+    for row in rows:
+        mark = " batched" if row["batched"] else ""
+        fail = "" if row["pass"] else "  FAIL"
+        print(f"  {row['name']:<36} {row['trials']:>6} {row['ms']:>9.2f} "
+              f"{row['us_per_trial']:>9.1f}{mark}{fail}")
+    print(f"  {'sum':<36} {'':>6} {sum(row['ms'] for row in rows):>9.2f}")
     return 0 if all(row["pass"] for row in rows) else 1
 
 

@@ -559,14 +559,12 @@ def test_sectional_bounds_catches_scaled_curvature(k, monkeypatch):
     assert not _sectional_bounds_report(k, 0).passed
 
 
-def test_law_timings_script_lists_every_law_of_the_suite(capsys):
+def test_law_timings_script_lists_every_law_of_the_suite():
     path = Path(__file__).resolve().parents[1] / "scripts" / "law_timings.py"
     spec = importlib.util.spec_from_file_location("law_timings", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main(["--suite", "ptolemy", "--dim", "2", "--trials", "50", "--repeat", "2",
-                        "--format", "json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
+    rows = script.law_timings(SuiteConfig(suite="ptolemy", k=2, trials=50, seed=1), 2)
     assert sorted(r["name"] for r in rows) == sorted(p.name for p in suite_properties("ptolemy"))
     assert [r["ms"] for r in rows] == sorted((r["ms"] for r in rows), reverse=True)
     assert all(r["pass"] and r["us_per_trial"] > 0 for r in rows)
