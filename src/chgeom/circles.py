@@ -43,6 +43,7 @@ from .core import (
 from .projective import (
     MoebiusMap,
     _norm,
+    _uniform,
     _unit_direction,
     axis_reflection,
     chart,
@@ -376,7 +377,7 @@ class Sphere(_Membership):
         out = []
         m = self.k - 1
         for _ in range(n):
-            phi = rng.uniform(-0.5 * math.pi, 0.5 * math.pi)
+            phi = _uniform(rng, -0.5 * math.pi, 0.5 * math.pi)
             t = r * r * math.sin(phi)
             zn = math.sqrt(max(math.cos(phi), 0.0)) * r
             if m:

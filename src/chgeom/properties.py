@@ -82,6 +82,7 @@ from .ortho import (
 from .projective import (
     MoebiusMap,
     _norm_rows,
+    _uniform,
     _unit_direction,
     chart,
     dilation_stack,
@@ -177,7 +178,7 @@ def _point_off_chain(cfg, rng, F):
 
 def _distinct_taus(rng, n, lo=-2.5, hi=2.5, sep=0.05):
     for _ in range(100):
-        taus = np.sort(rng.uniform(lo, hi, size=n))
+        taus = np.sort(_uniform(rng, lo, hi, size=n))
         if np.all(np.diff(taus) > sep):
             return taus
     raise RuntimeError("could not sample separated parameters")
@@ -300,9 +301,9 @@ def _distance_formula_r4(cfg, draws):
       batched=_distance_formula_r4)
 def distance_formula_r4(cfg, rng):
     params = moebius_params(cfg, rng)
-    t_o = rng.uniform(-4.0, 4.0)
+    t_o = _uniform(rng, -4.0, 4.0)
     u0 = _point_off_chain(cfg, rng, canonical_chain(cfg.k))
-    return params, t_o, u0.z, u0.t, rng.uniform() < 0.05
+    return params, t_o, u0.z, u0.t, _uniform(rng) < 0.05
 
 
 @_law("distance_formula", "circles", 1e-8, 1000,
@@ -335,7 +336,7 @@ def ec_uniqueness(cfg, rng):
       min_k=2)
 def er_existence_uniqueness(cfg, rng):
     F = sample_chain(cfg, rng)
-    omega = F.point_at(float(rng.uniform(-2, 2)))
+    omega = F.point_at(float(_uniform(rng, -2, 2)))
     u = _point_off_chain(cfg, rng, F)
     sigma = rcircle_through_hitting(F, omega, u)
     hit = mu(F, omega, u)
@@ -374,7 +375,7 @@ def _oc_harmonicity(cfg, draws):
       "harmonic pairs on an orthogonal R-circle are harmonic against every chain point",
       min_k=2, batched=_oc_harmonicity)
 def oc_harmonicity(cfg, rng):
-    return (*_orthogonal_config(cfg, rng), math.exp(rng.uniform(-1.0, 1.0)))
+    return (*_orthogonal_config(cfg, rng), math.exp(_uniform(rng, -1.0, 1.0)))
 
 
 def _or_harmonicity(cfg, draws):
@@ -395,7 +396,7 @@ def _or_harmonicity(cfg, draws):
       "harmonic pairs on a chain are harmonic against every point of an "
       "orthogonal R-circle", min_k=2, batched=_or_harmonicity)
 def or_harmonicity(cfg, rng):
-    return (*_orthogonal_config(cfg, rng), math.exp(rng.uniform(-1.0, 1.0)))
+    return (*_orthogonal_config(cfg, rng), math.exp(_uniform(rng, -1.0, 1.0)))
 
 
 def _count_low_clusters(values, threshold):
@@ -514,7 +515,7 @@ def filling_sphere_rcircles(cfg, rng):
     F = ccircle_through(omega, omega_p)
     c = chart(omega_p, omega)  # F is the vertical axis in it
     cinv = c.inverse()
-    r2 = math.exp(rng.uniform(-0.5, 0.5))
+    r2 = math.exp(_uniform(rng, -0.5, 0.5))
     x = cinv(point(np.zeros(cfg.k - 1), r2))
     x_opp = cinv(point(np.zeros(cfg.k - 1), -r2))
     S = sphere_between(omega, omega_p, x)
@@ -541,7 +542,7 @@ def property_u_fourth_point(cfg, rng):
     # the equality forces membership: a perturbed point may only satisfy
     # it (within margin) if the perturbation happened to return to sigma
     if not u.infinite:
-        u_off = point(u.z, u.t + rng.uniform(0.5, 1.5))
+        u_off = point(u.z, u.t + _uniform(rng, 0.5, 1.5))
         defect_off = _rel(ptolemy_defect(x, y, z, u_off), scale)
         member_off = sigma.membership_residual(u_off)
         if defect_off < OFF_CIRCLE_MARGIN and member_off > 100 * OFF_CIRCLE_MARGIN:
@@ -631,7 +632,7 @@ def base_midpoint_uniqueness(cfg, rng):
     dAB = fo.base_dist(omega, A, B)
     on_excess = fo.base_dist(omega, A, M) + fo.base_dist(omega, M, B) - dAB
     worst = _rel(on_excess, dAB)
-    off = _unit_direction(rng, m) * rng.uniform(0.3, 1.0)
+    off = _unit_direction(rng, m) * _uniform(rng, 0.3, 1.0)
     P = _fiber_through(omega, 0.5 * (za + zb) + off)
     off_excess = fo.base_dist(omega, A, P) + fo.base_dist(omega, P, B) - dAB
     if off_excess <= 0.0:
@@ -644,9 +645,9 @@ def base_midpoint_uniqueness(cfg, rng):
 def busemann_affine_fibers(cfg, rng):
     omega = infinity(cfg.k)
     sigma = canonical_rcircle(cfg.k).transported(random_moebius(cfg, rng, allow_inversion=False))
-    o = sigma.point_at(float(rng.uniform(-1, 1)))
+    o = sigma.point_at(float(_uniform(rng, -1, 1)))
     line = canonical_rcircle(cfg.k).transported(random_moebius(cfg, rng, allow_inversion=False))
-    s0, h = rng.uniform(-1, 1), rng.uniform(0.4, 1.2)
+    s0, h = _uniform(rng, -1, 1), _uniform(rng, 0.4, 1.2)
     pts = [line.point_at(float(s0 + j * h)) for j in (-1, 0, 1)]
     closed = [fo.busemann(omega, sigma, o, p) for p in pts]
     limits = [fo.busemann(omega, sigma, o, p, method="limit") for p in pts]
@@ -679,9 +680,9 @@ def _vertical_shift_isometry(cfg, draws):
       "vertical shifts are isometries with displacement sqrt(|s|)",
       batched=_vertical_shift_isometry)
 def vertical_shift_isometry(cfg, rng):
-    s = rng.uniform(0.5, 4.0) * (1 if rng.uniform() < 0.5 else -1)
+    s = _uniform(rng, 0.5, 4.0) * (1 if _uniform(rng) < 0.5 else -1)
     Z, T = _distinct_point_batch(cfg, rng, 2)
-    return s, Z, T, rng.uniform(0.5, 4.0) * math.copysign(1.0, s)
+    return s, Z, T, _uniform(rng, 0.5, 4.0) * math.copysign(1.0, s)
 
 
 @_law("foliation", "foliation", 1e-8, 500,
@@ -689,7 +690,7 @@ def vertical_shift_isometry(cfg, rng):
       "the center")
 def pure_homothety_scaling(cfg, rng):
     o, w = sample_distinct_points(cfg, rng, 2)
-    lam = math.exp(rng.uniform(-1.0, 1.0))
+    lam = math.exp(_uniform(rng, -1.0, 1.0))
     h = fo.pure_homothety(o, w, lam)
     x, y = sample_distinct_points(cfg, rng, 2)
     ref = dist_w(w, x, y)
@@ -744,7 +745,7 @@ def _lift_homothety_scaling(cfg, draws):
       "scaling a polygon scales the lift displacement linearly", min_k=2,
       batched=_lift_homothety_scaling)
 def lift_homothety_scaling(cfg, rng):
-    return _random_polygon(cfg, rng, 4), math.exp(rng.uniform(-1.0, 1.0))
+    return _random_polygon(cfg, rng, 4), math.exp(_uniform(rng, -1.0, 1.0))
 
 
 def _lift_triangle_area_ratio(cfg, draws):
@@ -764,7 +765,7 @@ def _lift_triangle_area_ratio(cfg, draws):
 def lift_triangle_area_ratio(cfg, rng):
     m = cfg.k - 1
     pts = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
-    return pts, rng.uniform(0.05, 0.95) if rng.uniform() < 0.5 else 1.0 / math.pi
+    return pts, _uniform(rng, 0.05, 0.95) if _uniform(rng) < 0.5 else 1.0 / math.pi
 
 
 def _lift_diagonal_split(cfg, draws):
@@ -798,7 +799,7 @@ def _lift_square_displacement(cfg, draws):
       "the unit square lifts to the vertical shift by -4, displacement 2", min_k=2,
       batched=_lift_square_displacement)
 def lift_square_displacement(cfg, rng):
-    return rng.uniform(-2, 2), math.exp(rng.uniform(-0.5, 0.5))
+    return _uniform(rng, -2, 2), math.exp(_uniform(rng, -0.5, 0.5))
 
 
 @_law("holonomy", "tangent", 1e-12, 1,
@@ -1108,7 +1109,7 @@ def fiber_involution_preserves(cfg, rng):
 def join_decompose_radius(cfg, rng):
     A = sample_ortho_complement(cfg, rng)
     F = A.F
-    omega = F.point_at(float(rng.uniform(-2, 2)))
+    omega = F.point_at(float(_uniform(rng, -2, 2)))
     u = _point_off_chain(cfg, rng, F)
     dec = join_decompose(A, u, omega)
     if dec.b < 1e-6 or dec.a < 1e-3:
@@ -1126,9 +1127,9 @@ def join_decompose_radius(cfg, rng):
 @_law("join", "ortho", 1e-12, 2000,
       "the closed-form intercepts solve the product and squared-difference equations")
 def join_equations_algebra(cfg, rng):
-    a = math.exp(rng.uniform(-1.5, 1.5))
-    b = math.exp(rng.uniform(-1.5, 1.5))
-    rho = math.exp(rng.uniform(-1.0, 1.0))
+    a = math.exp(_uniform(rng, -1.5, 1.5))
+    b = math.exp(_uniform(rng, -1.5, 1.5))
+    rho = math.exp(_uniform(rng, -1.0, 1.0))
     X, Y, cc = intercept_distances(a, b, rho)
     worst = _rel(X * Y - rho * rho, rho * rho)
     return max(worst, _rel(X * X - Y * Y - cc, max(1.0, abs(cc), X * X + Y * Y)))
@@ -1137,9 +1138,9 @@ def join_equations_algebra(cfg, rng):
 @_law("join", "ortho", 1e-10, 1000,
       "the bracketing quartic root matches an independent polynomial solver")
 def positive_root_independent(cfg, rng):
-    b = math.exp(rng.uniform(-1.0, 1.0))
-    c = math.exp(rng.uniform(-1.0, 1.0))
-    d = c * b ** 4 * (1.0 + math.exp(rng.uniform(-1.0, 2.0)))
+    b = math.exp(_uniform(rng, -1.0, 1.0))
+    c = math.exp(_uniform(rng, -1.0, 1.0))
+    d = c * b ** 4 * (1.0 + math.exp(_uniform(rng, -1.0, 2.0)))
     s0 = positive_root(b, c, d)
     coeffs = [1.0 + c, 4 * c * b, 6 * c * b * b, 4 * c * b ** 3, c * b ** 4 - d]
     roots = np.roots(coeffs)
@@ -1155,7 +1156,7 @@ def positive_root_independent(cfg, rng):
       min_k=2)
 def standard_rcircle_harmonic(cfg, rng):
     A = sample_ortho_complement(cfg, rng)
-    u = A.F.point_at(float(rng.uniform(-2, 2)))
+    u = A.F.point_at(float(_uniform(rng, -2, 2)))
     x = A.sample_points(1, rng)[0]
     std = standard_rcircle(A, x, u)
     worst = harmonicity_residual(std.u, std.x, std.v, std.y)
@@ -1169,7 +1170,7 @@ def standard_rcircle_harmonic(cfg, rng):
 def standard_rcircles_intersection(cfg, rng):
     A = sample_ortho_complement(cfg, rng)
     F = A.F
-    u = F.point_at(float(rng.uniform(-2, 2)))
+    u = F.point_at(float(_uniform(rng, -2, 2)))
     x1 = A.sample_points(1, rng)[0]
     x2 = A.sample_points(1, rng)[0]
     if chordal_sq(x1, x2) < 1e-4 or chordal_sq(x1, conjugate_pole(F, x2)) < 1e-4:
@@ -1196,11 +1197,11 @@ def suspension_foliations(cfg, rng):
     e1[0] = 1.0
     K = canonical_chain(k).transported(g)
     u, v = g(infinity(k)), g(origin(k))
-    lam = math.exp(rng.uniform(-0.8, 0.8))
+    lam = math.exp(_uniform(rng, -0.8, 0.8))
     rho = dist_w(u, v, g(point(e1, 0.0)))
     worst = 0.0
     for _ in range(4):
-        theta = rng.uniform(0, 2 * math.pi)
+        theta = _uniform(rng, 0, 2 * math.pi)
         h = g(point(lam * np.exp(1j * theta) * e1, 0.0))
         # the R-line of the foliation through h passes the opposite pole
         worst = max(worst, chordal_sq(mu(K, u, h), v))
@@ -1236,7 +1237,7 @@ def generator_chart_actions(cfg, rng):
     Z, T = _distinct_point_batch(cfg, rng, 2)
     z0 = sample_point(cfg, rng)
     U = random_unitary(cfg.k - 1, rng)
-    return Z, T, z0.z, z0.t, U, math.exp(rng.uniform(-1, 1))
+    return Z, T, z0.z, z0.t, U, math.exp(_uniform(rng, -1, 1))
 
 
 @_law("automorphisms", "projective", 1e-10, 200,

@@ -22,6 +22,7 @@ from .ortho import OrthoComplement, canonical_involution
 from .projective import (
     MoebiusMap,
     _norm,
+    _uniform,
     _unit_direction,
     dilation_stack,
     make_dilation,
@@ -52,15 +53,6 @@ __all__ = [
 
 SAMPLE_SCALE = 4.0
 MIN_SEPARATION = 1e-3 * SAMPLE_SCALE
-
-
-def _uniform(rng: np.random.Generator, low=0.0, high=1.0, size=None):
-    """``rng.uniform(low, high, size)``, bit for bit and from the same stream.
-
-    numpy returns ``low + (high - low) * rng.random()`` for each entry; this
-    skips its argument handling, which costs three times the draw.
-    """
-    return low + (high - low) * rng.random(size)
 
 
 def sample_point(cfg: SpaceConfig, rng: np.random.Generator) -> BoundaryPoint:

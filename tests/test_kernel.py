@@ -43,6 +43,7 @@ from chgeom.projective import (
     INFINITY_SLICE_TOL,
     NULL_TOL,
     _norm,
+    _uniform,
     act_stack,
     chart,
     crt_projective,
@@ -63,7 +64,6 @@ from chgeom.projective import (
 )
 from chgeom.sampling import (
     _point_batch,
-    _uniform,
     canonical_chain,
     canonical_rcircle,
     moebius_params,
@@ -533,7 +533,9 @@ def test_tau_stack_matches_tau(rng, m):
 
 
 def test_uniform_is_numpys_uniform():
-    for low, high in ((0.0, 1.0), (-2.0, 2.0), (-4.0, 4.0), (-0.5, 0.5), (-0.35, 0.35)):
+    for low, high in ((0.0, 1.0), (-2.0, 2.0), (-4.0, 4.0), (-0.5, 0.5), (-0.35, 0.35),
+                      (-2, 2), (-1, 1), (0, 2 * math.pi), (-0.5 * math.pi, 0.5 * math.pi),
+                      (0.05, 0.95), (0.5, 4.0), (-1.0, 2.0)):
         a, b = np.random.default_rng(3), np.random.default_rng(3)
         for size in (None, 5, (3, 1)):
             for _ in range(200):
