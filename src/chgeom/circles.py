@@ -32,6 +32,7 @@ from .core import (
     BoundaryPoint,
     GeometryError,
     Points,
+    _norm,
     dist,  # noqa: F401 (rebound by the benchmark tracer)
     dist_w,
     gauge,
@@ -42,7 +43,6 @@ from .core import (
 )
 from .projective import (
     MoebiusMap,
-    _norm,
     _uniform,
     _unit_direction,
     axis_reflection,

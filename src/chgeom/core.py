@@ -37,7 +37,6 @@ __all__ = [
     "heis_inv",
     "gauge",
     "dist",
-    "dist_batch",
     "dist_w",
     "Points",
     "dist_stack",
@@ -184,21 +183,6 @@ def dist(p: BoundaryPoint, q: BoundaryPoint) -> float:
     return (zz * zz + dt * dt) ** 0.25
 
 
-def dist_batch(Z1, T1, Z2, T2):
-    """Gauge distance for batched finite chart coordinates, broadcasting.
-
-    ``Z*`` hold horizontal coordinates along the last axis, ``T*`` the
-    heights; agrees with :func:`dist` entrywise up to rounding (vector
-    power and fused products).  :func:`dist_stack` is the bit-identical
-    twin, at the price of a Python tail.
-    """
-    dz = Z2 - Z1
-    cross = (Z1 * Z2.conj()).sum(axis=-1).imag
-    dt = T2 - T1 - 2.0 * cross
-    zz = (dz * dz.conj()).real.sum(axis=-1)
-    return (zz * zz + dt * dt) ** 0.25
-
-
 def dist_w(omega: BoundaryPoint, p: BoundaryPoint, q: BoundaryPoint) -> float:
     """Metric inversion of :func:`dist` with respect to ``omega``.
 
@@ -239,6 +223,11 @@ def pairing(p: BoundaryPoint, q: BoundaryPoint) -> float:
 def _pairing_of(d: float) -> float:
     # the pairing of two points at distance d; infinity pairs to 1
     return 1.0 if d == math.inf else 0.5 * d * d
+
+
+def _pairing_stack(d: np.ndarray) -> np.ndarray:
+    # _pairing_of of each entry
+    return np.where(d == math.inf, 1.0, 0.5 * d * d)
 
 
 def same_point(p: BoundaryPoint, q: BoundaryPoint, tol: float = COINCIDENCE_TOL) -> bool:
@@ -406,10 +395,18 @@ def ptolemy_defect_squared(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint,
 # Stacked forms
 # ---------------------------------------------------------------------------
 #
-# Each ``*_stack`` function returns its scalar twin's value for every row,
-# bit for bit (tests/test_kernel.py pins each pair): it keeps the twin's
-# floating-point operations in their order.  Powers run as a Python tail
-# (``_pow``), as numpy's vector ``power`` rounds differently from ``pow``.
+# Each ``*_stack`` function, here and in the other modules, returns its
+# scalar twin's value for every row, bit for bit (tests/test_kernel.py
+# pins each pair): it keeps the twin's floating-point operations in their
+# order.  Whether a stacked reduction rounds as its one-vector form is a
+# question of summation order, answered once, by these helpers:
+# ``np.vecdot`` for a row pairing (it conjugates as ``np.vdot`` does and
+# runs the same strided BLAS dot); ``_norm_rows`` for a row norm (the
+# strided dots of ``_norm`` and ``np.linalg.norm`` on one complex vector;
+# ``axis=-1`` norms, ``einsum``, ``sum`` and contiguous real rows add in
+# another order); ``_modulus`` for ``abs`` of a complex (``np.abs`` of an
+# array rounds differently); and ``_pow`` for powers, as numpy's vector
+# ``power`` rounds differently from ``pow``.
 
 class Points(NamedTuple):
     """A stack of boundary points: row i is ``point(Z[i], T[i])``, or
@@ -443,9 +440,28 @@ def _pow(values: np.ndarray, exponent) -> np.ndarray:
     return np.array([v ** exponent for v in values.tolist()], dtype=float)
 
 
+def _norm(X: np.ndarray) -> float:
+    """Euclidean norm of a 1-d complex or real vector.
+
+    The arithmetic of ``np.linalg.norm`` on such a vector, bit for bit,
+    without its dispatch.
+    """
+    return math.sqrt(X.real.dot(X.real) + X.imag.dot(X.imag))
+
+
+def _norm_rows(X: np.ndarray) -> np.ndarray:
+    """:func:`_norm` of every complex row, on the same strided real and imaginary views."""
+    return np.sqrt(np.vecdot(X.real, X.real) + np.vecdot(X.imag, X.imag))
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """``abs`` of each complex entry, as it rounds on one numpy complex."""
+    return np.hypot(z.real, z.imag)
+
+
 def dist_stack(P: Points, Q: Points) -> np.ndarray:
     dz = Q.Z - P.Z
-    dt = Q.T - P.T + 2.0 * np.vecdot(P.Z, Q.Z).imag   # vecdot conjugates as vdot does
+    dt = Q.T - P.T + 2.0 * np.vecdot(P.Z, Q.Z).imag
     zz = np.vecdot(dz, dz).real
     d = _pow(zz * zz + dt * dt, 0.25)
     return np.where(P.inf | Q.inf, np.where(P.inf & Q.inf, 0.0, math.inf), d)
@@ -493,7 +509,7 @@ def crt_stack(x: Points, y: Points, z: Points, u: Points) -> np.ndarray:
         copies[[i, j]] += d <= COINCIDENCE_TOL
     if (copies >= 3).any():
         raise GeometryError("quadruple is not admissible (an entry repeats 3+ times)")
-    return triples_from_pairings([np.where(d == math.inf, 1.0, 0.5 * d * d) for d in dists])
+    return triples_from_pairings([_pairing_stack(d) for d in dists])
 
 
 def harmonicity_residual_stack(x: Points, z: Points, y: Points, u: Points) -> np.ndarray:

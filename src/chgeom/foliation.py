@@ -27,13 +27,14 @@ import numpy as np
 from .core import (
     BoundaryPoint,
     GeometryError,
+    _norm,
     dist,
     dist_w,
     point,
     same_point,
 )
 from .circles import CCircle, RCircle, _chain_point_away_from, mu
-from .projective import MoebiusMap, _norm, chart, make_dilation, make_translation
+from .projective import MoebiusMap, chart, make_dilation, make_translation
 
 __all__ = [
     "Polygon",

@@ -22,9 +22,9 @@ against the lift of infinity.  The constant 2 is pinned by the vertical,
 unit-horizontal and translated-horizontal anchor distances; see
 ``distance_pairing_constant``.
 
-Kernel contract: the scalar primitives (``lift``, ``drop``, ``herm``,
-``_norm``) run on every point a Moebius map moves, so they avoid numpy's
-Python-level wrappers, but they keep numpy's array arithmetic: each
+Kernel contract: the scalar primitives (``lift``, ``drop``, ``herm`` and
+``core._norm``) run on every point a Moebius map moves, so they avoid
+numpy's Python-level wrappers, but they keep numpy's array arithmetic: each
 performs the same floating-point operations in the same order as the
 ``np.linalg.norm``/``np.sum``/``np.conj`` expressions it replaces, and
 refactors leave verification reports bit-identical.  Python ``complex``
@@ -34,19 +34,15 @@ is compared with a tolerance and goes no further (the tests in ``drop``).
 A point keeps its lift once computed.
 
 The stacked forms (``lift_stack``, ``act_stack``, ``drop_stack``,
-``herm_stack`` and the generator stacks, like those of :mod:`chgeom.core`)
-hold the same contract row by row, and a test pins each one to its scalar
-twin bit for bit.  They run numpy's vector loops where the twin does too,
-with these substitutions, each measured to round identically on every row:
-``np.vecdot`` for ``np.vdot`` and for ``_norm``'s ``dot`` (the same BLAS
-calls on the same strided views); ``G @ X[..., None]`` for ``g @ x``
-(``einsum`` is not identical); ``np.hypot`` for ``abs`` of a complex (the C
-library's ``hypot``; ``np.abs`` of a complex array is not); and real-part
-arithmetic, spelled out, where the twin multiplies numpy complex scalars
-or does Python complex arithmetic, since numpy's vector complex product
-fuses multiply and add.  Complex division stays a vector loop.  Powers
-(``** 0.25``, squares, fourth powers) run as Python tails over the rows,
-because numpy's vector ``power`` rounds differently from ``pow``.
+``herm_stack`` and the generator stacks) hold the same contract row by
+row, as those of :mod:`chgeom.core` do, and reduce rows with its helpers
+(``np.vecdot``, ``_norm_rows``, ``_modulus``, ``_pow``; see "Stacked
+forms" there).  A test pins each one to its scalar twin bit for bit.  The
+map action is ``G @ X[..., None]``, which rounds as ``g @ x`` (``einsum``
+does not).  Where the twin multiplies numpy complex scalars or does
+Python complex arithmetic, the real-part arithmetic is spelled out, since
+numpy's vector complex product fuses multiply and add.  Complex division
+stays a vector loop.
 """
 
 from __future__ import annotations
@@ -61,7 +57,9 @@ from .core import (
     _COMPLEX,
     BoundaryPoint,
     GeometryError,
-    chordal_sq,
+    _modulus,
+    _norm,
+    _norm_rows,
     dist,
     infinity,
     origin,
@@ -127,15 +125,6 @@ def _identity(n: int) -> np.ndarray:
     I = np.eye(n, dtype=complex)
     I.setflags(write=False)
     return I
-
-
-def _norm(X: np.ndarray) -> float:
-    """Euclidean norm of a 1-d complex or real vector.
-
-    The arithmetic of ``np.linalg.norm`` on such a vector, bit for bit,
-    without its dispatch.
-    """
-    return math.sqrt(X.real.dot(X.real) + X.imag.dot(X.imag))
 
 
 def _unit_direction(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -282,29 +271,8 @@ class MoebiusMap:
     def __call__(self, p: BoundaryPoint) -> BoundaryPoint:
         return drop(self.g @ lift(p))
 
-    def acts_like(self, other: "MoebiusMap") -> bool:
-        """Projective equality decided by action on k+3 generic points.
-
-        Compared in the squared chordal gap, which is first order in
-        coordinate differences.
-        """
-        worst = 0.0
-        for p in _generic_points(self.k):
-            worst = max(worst, chordal_sq(self(p), other(p)))
-        return worst <= 1e-9
-
     def __repr__(self) -> str:
         return f"MoebiusMap(k={self.k}, form_residual={self.form_residual():.2e})"
-
-
-def _generic_points(k: int):
-    pts = [infinity(k), origin(k), point(np.zeros(k - 1), 1.0)]
-    for i in range(k - 1):
-        e = np.zeros(k - 1, dtype=complex)
-        e[i] = 1.0
-        pts.append(point(e, 0.0))
-        pts.append(point((0.5 + 0.25j) * e, -1.0))
-    return pts[: k + 3]
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +430,6 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm_rows(X: np.ndarray) -> np.ndarray:
-    """:func:`_norm` of every row, on the same strided real and imaginary views."""
-    return np.sqrt(np.vecdot(X.real, X.real) + np.vecdot(X.imag, X.imag))
-
-
 def lift_stack(P: Points) -> np.ndarray:
     n, m = P.Z.shape
     X = np.zeros((n, m + 2), dtype=complex)
@@ -497,13 +460,13 @@ def drop_stack(X: np.ndarray) -> Points:
         raising = ~(np.isfinite(nn) & (nn > 0) & (defect <= NULL_TOL * nn))
         if raising.any():
             drop(X[int(np.argmax(raising))])   # raises, with drop's own message
-        inf = np.hypot(xk.real, xk.imag) <= INFINITY_SLICE_TOL * np.sqrt(nn)
+        inf = _modulus(xk) <= INFINITY_SLICE_TOL * np.sqrt(nn)
         q = X[:, :k] / X[:, k:]
         w, zz = q[:, 0], 0.0
         for j in range(1, k):
             zz = zz + (q[:, j].real * q[:, j].real + q[:, j].imag * q[:, j].imag)
         inf |= (np.abs(w.real + 0.5 * zz)
-                > FINITE_CONSISTENCY_TOL * (1.0 + np.hypot(w.real, w.imag)))
+                > FINITE_CONSISTENCY_TOL * (1.0 + _modulus(w)))
     return Points(np.where(inf[:, None], 0j, q[:, 1:]), np.where(inf, 0.0, 2.0 * w.imag), inf)
 
 

@@ -38,6 +38,9 @@ from . import tangent as tg
 from .core import (
     Points,
     _gauge_stack,
+    _modulus,
+    _norm_rows,
+    _pairing_stack,
     _pow,
     chordal_sq,
     chordal_sq_stack,
@@ -81,7 +84,6 @@ from .ortho import (
 )
 from .projective import (
     MoebiusMap,
-    _norm_rows,
     _uniform,
     _unit_direction,
     chart,
@@ -100,7 +102,6 @@ from .projective import (
 from .sampling import (
     MIN_SEPARATION,
     _distinct_point_batch,
-    _pairwise_dists,
     _point_batch,
     _upper_pairs,
     canonical_chain,
@@ -211,8 +212,11 @@ def ptolemy_inequality(cfg, rng):
     # one trial sweeps a batch of quadruples, in the plain gauge metric
     # and in the inversion at the fifth sampled point
     Z, T = _point_batch(cfg, rng, (_PTOLEMY_BATCH, 5))
-    D = _pairwise_dists(Z, T)
     iu0, iu1 = _upper_pairs(5)
+    P, Q = (Points.finite(Z[:, i].reshape(10 * _PTOLEMY_BATCH, cfg.k - 1), T[:, i].ravel())
+            for i in (iu0, iu1))
+    D = np.zeros((_PTOLEMY_BATCH, 5, 5))   # the pairs i < j are all it reads
+    D[:, iu0, iu1] = dist_stack(P, Q).reshape(_PTOLEMY_BATCH, 10)
     D = D[D[:, iu0, iu1].min(axis=1) >= MIN_SEPARATION]
 
     def defect(M):
@@ -264,10 +268,9 @@ def _metric_double_inversion(cfg, draws):
                    at_inf[:, i]) for i, p in enumerate(quad)]
     c = make_inversion(cfg.k).g @ translation_stack(-w.Z, -w.T)
     c_inf, *images = map_points(c, Points.at_infinity(cfg.k, len(draws)), *quad)
-    pairings = []
-    for i, j in combinations(range(4), 2):
-        d = dist_w_stack(c_inf, images[i], images[j])   # inf when an entry is the old infinity
-        pairings.append(np.where(d == math.inf, 1.0, 0.5 * d * d))
+    # a distance is inf when an entry is the old infinity
+    pairings = [_pairing_stack(dist_w_stack(c_inf, images[i], images[j]))
+                for i, j in combinations(range(4), 2)]
     return _max_difference(triples_from_pairings(pairings), crt_stack(*quad))
 
 
@@ -423,7 +426,7 @@ def _chain_residuals_along_rcircle(F, sigma, ss):
     X = sigma.map.g @ L
     Q = F._plane_basis
     R = X - Q @ (Q.conj().T @ X)
-    return (np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=0)) ** 2
+    return (_norm_rows(R.T) / _norm_rows(X.T)) ** 2
 
 
 @_law("circles", "circles", 0.5, 300,
@@ -886,7 +889,7 @@ def curvature_operator_spectrum(cfg, rng):
 
 def _holonomy_identity(cfg, draws):
     x, y, z, u, _ = tg._frames(_tangents(cfg, draws))
-    return tg._norms(tg.riem_vec(x, y, z) - 2.0 * u)
+    return _norm_rows(tg.riem_vec(x, y, z) - 2.0 * u)
 
 
 @_law("holonomy", "tangent", 1e-12, 1000,
@@ -929,10 +932,10 @@ _ROTATION_RESIDUALS = {q: _rotation_order_residual(q) for q in range(2, 8)}
 def _unitary_reflection_transitivity(cfg, draws):
     g, qs = zip(*draws)
     w = tg._complex_draws(np.reshape(g, (len(g), 2, 2, 2)))
-    u, v = w / tg._col(tg._norms(w))
+    u, v = w / tg._col(_norm_rows(w))
     I = np.eye(2, dtype=complex)
     # a word is empty (u = v) or has four letters; an empty word acts as I
-    full = ~(tg._norms(u - v) <= 1e-12)
+    full = ~(_norm_rows(u - v) <= 1e-12)
     M = np.tile(I, (len(g), 1, 1))
     worst = np.zeros(len(g))
     if full.any():
@@ -942,13 +945,13 @@ def _unitary_reflection_transitivity(cfg, draws):
         svals = np.linalg.svd(I - R, compute_uv=False)
         letters = np.max([
             np.max(np.abs(R @ R - I), axis=(-2, -1)),
-            tg._modulus(np.linalg.det(R) + 1.0),
+            _modulus(np.linalg.det(R) + 1.0),
             abs(svals[..., 0] - 2.0),
             svals[..., 1],
         ], axis=(0, 2))
-        worst[full] = np.maximum(letters, tg._modulus(np.linalg.det(R[:, 1] @ R[:, 0]) - 1.0))
+        worst[full] = np.maximum(letters, _modulus(np.linalg.det(R[:, 1] @ R[:, 0]) - 1.0))
     moved = (M @ u[..., None])[..., 0] - v
-    worst = np.maximum(worst, tg._norms(moved))
+    worst = np.maximum(worst, _norm_rows(moved))
     return np.maximum(worst, [_ROTATION_RESIDUALS[q] for q in qs])
 
 
@@ -1272,7 +1275,7 @@ def _crt_cross_model_agreement(cfg, draws):
     chart_triples = crt_stack(*quad)   # raises, as crt_projective does, if inadmissible
     X = np.split(lift_stack(Points.concat(quad)), 4)
     pairings = [herm_stack(X[i], X[j]) for i, j in combinations(range(4), 2)]
-    projective = triples_from_pairings([np.hypot(w.real, w.imag) for w in pairings])
+    projective = triples_from_pairings([_modulus(w) for w in pairings])
     return _max_difference(chart_triples, projective)
 
 
@@ -1330,7 +1333,7 @@ def _lift_drop_roundtrip(cfg, draws):
     p = Points.finite(Z, T)
     X = lift_stack(p)
     H = herm_stack(X, X)
-    worst = np.maximum(np.hypot(H.real, H.imag), chordal_sq_stack(drop_stack(X), p))
+    worst = np.maximum(_modulus(H), chordal_sq_stack(drop_stack(X), p))
     worst = np.maximum(worst, chordal_sq_stack(drop_stack(lam[:, None] * X), p))
     fixed = max(chordal_sq(drop(lift(infinity(k))), infinity(k)),
                 abs(distance_pairing_constant(k) - 2.0))

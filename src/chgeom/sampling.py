@@ -16,12 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BoundaryPoint, GeometryError, SpaceConfig, dist_batch, point
+from .core import BoundaryPoint, GeometryError, Points, SpaceConfig, _norm, dist_stack, point
 from .circles import OFF_CIRCLE_MARGIN, CCircle, RCircle, ccircle_through
 from .ortho import OrthoComplement, canonical_involution
 from .projective import (
     MoebiusMap,
-    _norm,
     _uniform,
     _unit_direction,
     dilation_stack,
@@ -74,17 +73,11 @@ def _point_batch(cfg: SpaceConfig, rng: np.random.Generator, shape: tuple):
     if m:
         raw = rng.standard_normal((*shape, m)) + 1j * rng.standard_normal((*shape, m))
         radii = 2.0 * _uniform(rng, size=(*shape, 1)) ** (1.0 / (2 * m))
-        # the row norms, with the arithmetic of np.linalg.norm(raw, axis=-1)
+        # the row norms, as np.linalg.norm adds them along the last axis
         Z = raw / np.sqrt((raw.conj() * raw).real.sum(axis=-1, keepdims=True)) * radii
     else:
         Z = np.zeros((*shape, 0), dtype=complex)
     return Z, _uniform(rng, -4.0, 4.0, size=shape)
-
-
-def _pairwise_dists(Z, T):
-    """Gauge distances between all points along the second-to-last axis of Z."""
-    return dist_batch(Z[..., :, None, :], T[..., :, None],
-                      Z[..., None, :, :], T[..., None, :])
 
 
 @lru_cache(maxsize=None)
@@ -97,8 +90,9 @@ def _distinct_point_batch(cfg: SpaceConfig, rng: np.random.Generator, n: int):
     """Chart coordinates (Z, T) of the n points ``sample_distinct_points`` draws."""
     for _ in range(200):
         Z, T = _point_batch(cfg, rng, (n,))
-        D = _pairwise_dists(Z, T)
-        if n == 1 or float(D[_upper_pairs(n)].min()) >= MIN_SEPARATION:
+        i, j = _upper_pairs(n)
+        if n == 1 or dist_stack(Points.finite(Z[i], T[i]),
+                                Points.finite(Z[j], T[j])).min() >= MIN_SEPARATION:
             return Z, T
     raise GeometryError("rejection sampling failed to separate points")
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import GeometryError
+from .core import GeometryError, _modulus, _norm_rows
 
 __all__ = [
     "TangentVector",
@@ -46,7 +46,9 @@ __all__ = [
 # Tangent vectors are complex ndarrays of shape (k,); the real dimension
 # of the model is 2k.  The curvature kernel is batch-first: it acts on
 # stacks of shape (..., k) along the last axis, and a single vector is
-# the batch of one.
+# the batch of one.  Rows are reduced by core's stacked forms (np.vecdot,
+# _norm_rows, _modulus), which round as np.vdot, np.linalg.norm and abs
+# do on one vector.
 TangentVector = np.ndarray
 
 
@@ -129,27 +131,9 @@ def riem_polarized(x: TangentVector, y: TangentVector, z: TangentVector,
     return total
 
 
-def _norms(a):
-    """Euclidean norm of each complex row, bit for bit as ``projective._norm``.
-
-    Complex rows only: the stacked ``@`` on their ``.real``/``.imag``
-    views takes BLAS's strided dot, as ``_norm`` does on one row; a
-    contiguous real array takes the unit-stride path and rounds
-    differently.
-    """
-    re, im = a.real, a.imag
-    return np.sqrt((re[..., None, :] @ re[..., :, None]
-                    + im[..., None, :] @ im[..., :, None])[..., 0, 0])
-
-
-def _vdot(a, b):
-    # np.vdot of each pair of complex rows, bit for bit
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _unit_rows(a, what: str):
     # each row over its norm; a zero or non-finite row has no direction
-    n = _norms(a)
+    n = _norm_rows(a)
     if not np.all((n > 0) & (n < math.inf)):
         raise GeometryError(f"{what} must be nonzero and finite")
     return a / _col(n)
@@ -175,14 +159,14 @@ def curvature_operator_spectrum(u: TangentVector) -> np.ndarray:
 def _frames(w):
     # adapted frames (x, Jx, z, Jz, v) of complex stacks w of shape (m, ..., k)
     # by one stacked Gram-Schmidt; v is None for m = 2
-    x = w[0] / _col(_norms(w[0]))
-    z = w[1] - _col(_vdot(x, w[1])) * x  # complex projection kills x and Jx
-    z = z / _col(_norms(z))
+    x = w[0] / _col(_norm_rows(w[0]))
+    z = w[1] - _col(np.vecdot(x, w[1])) * x  # complex projection kills x and Jx
+    z = z / _col(_norm_rows(z))
     v = None
     if len(w) > 2:
-        v = w[2] - _col(_vdot(x, w[2])) * x
+        v = w[2] - _col(np.vecdot(x, w[2])) * x
         v = v - (_col(inner(v, z)) * z + _col(inner(v, 1j * z)) * (1j * z))
-        v = v / _col(_norms(v))
+        v = v / _col(_norm_rows(v))
     return x, J(x), z, J(z), v
 
 
@@ -217,7 +201,7 @@ def holonomy_check(k: int, trials: int = 32, rng=None) -> dict:
     rng = np.random.default_rng(0) if rng is None else rng
     g = rng.standard_normal((trials, min(k, 3), 2, k))
     x, y, z, u, v = _frames(_complex_draws(g))
-    ident = _norms(riem_vec(x, y, z) - 2.0 * u)
+    ident = _norm_rows(riem_vec(x, y, z) - 2.0 * u)
     off = 0.0 if v is None else abs(riem(x, y, z, v))
     return {"k": k, "vacuous": False, "identity_residual": float(np.max(ident, initial=0)),
             "offplane_residual": float(np.max(off, initial=0)), "trials": trials}
@@ -253,12 +237,6 @@ def rotation_reflections(theta: float, f1: np.ndarray, f2: np.ndarray) -> np.nda
     return np.stack([f(0.5 * theta), f(0.0)], axis=-2)
 
 
-def _modulus(z):
-    # |z| as abs() computes it on one numpy complex; np.abs of an array
-    # rounds differently in the last bit
-    return np.hypot(z.real, z.imag)
-
-
 def _axis_targets(u, coord: int):
     # the unit multiple a of axis ``coord`` whose pairing with u is real, per row
     c = u[..., coord]
@@ -275,8 +253,8 @@ def _word_lines(u, v):
     a1, a2 = _axis_targets(u, 0), _axis_targets(v, 1)
     w1, w2 = u + a1, v + a2
     rot = rotation_reflections(0.5 * math.pi, a1, a2)
-    return np.stack([w2 / _col(_norms(w2)), rot[..., 0, :], rot[..., 1, :],
-                     w1 / _col(_norms(w1))], axis=-2)
+    return np.stack([w2 / _col(_norm_rows(w2)), rot[..., 0, :], rot[..., 1, :],
+                     w1 / _col(_norm_rows(w1))], axis=-2)
 
 
 def reflection_word(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -290,8 +268,8 @@ def reflection_word(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     for name, vec in (("u", u), ("v", v)):
-        if not abs(_norms(vec) - 1.0) <= 1e-10:
+        if not abs(_norm_rows(vec) - 1.0) <= 1e-10:
             raise GeometryError(f"{name} must be a unit vector")
-    if _norms(u - v) <= 1e-12:
+    if _norm_rows(u - v) <= 1e-12:
         return np.zeros((0, 2), dtype=complex)
     return _word_lines(u, v)

@@ -13,17 +13,19 @@ import time
 import numpy as np
 
 from chgeom.core import (
+    Points,
     SpaceConfig,
     chordal_sq,
     crt,
-    dist_batch,
+    dist_stack,
+    dist_w_stack,
     infinity,
     point,
 )
 from chgeom.circles import ccircle_through, mu
 from chgeom.foliation import Polygon, tau
 from chgeom.ortho import intercept_distances, positive_root
-from chgeom.projective import crt_projective
+from chgeom.projective import crt_projective, map_points
 from chgeom.properties import (
     REGISTRY,
     busemann_affine_fibers,
@@ -63,26 +65,22 @@ def _run_property(fn, k, trials, seed=2024, label=0):
 # batched chart helpers for the large sweeps
 # ---------------------------------------------------------------------------
 
-def _affine_lifts(Z, T):
-    b, m = Z.shape
-    X = np.zeros((b, m + 2), dtype=complex)
-    X[:, 0] = 0.5 * (-np.sum((Z * np.conj(Z)).real, axis=1) + 1j * T)
-    X[:, 1 : m + 1] = Z
-    X[:, m + 1] = 1.0
-    return X
+def _moved(g, *stacks):
+    """``map_points`` of the matrix ``g`` on finite point stacks; no image may be infinite."""
+    images = map_points(g, *stacks)
+    assert not any(P.inf.any() for P in images)
+    return images
 
 
-def _drop_batch(X):
-    k = X.shape[1] - 1
-    last = X[:, k]
-    assert np.min(np.abs(last) / np.linalg.norm(X, axis=1)) > 1e-10
-    Z = X[:, 1:k] / last[:, None]
-    T = 2.0 * (X[:, 0] / last).imag
-    return Z, T
-
-
-def _transport(g, Z, T):
-    return _drop_batch(( g.g @ _affine_lifts(Z, T).T ).T)
+def _pair_dists(Z, T):
+    """Gauge distances of the pairs i < j of the points along axis 1, in the
+    upper triangle of a (b, n, n) array."""
+    b, n, m = Z.shape
+    i, j = np.triu_indices(n, 1)
+    D = np.zeros((b, n, n))
+    P, Q = (Points.finite(Z[:, a].reshape(b * len(a), m), T[:, a].ravel()) for a in (i, j))
+    D[:, i, j] = dist_stack(P, Q).reshape(b, len(i))
+    return D
 
 
 def _ball_points(rng, b, m, radius=2.0):
@@ -136,22 +134,12 @@ def test_criterion_distance_formula():
             Zo = np.zeros((b, m), dtype=complex)
             # transported configuration: omega = g(inf), o on the chain,
             # u generic, z its fiber coordinate (projection equivariance)
-            omega = g(infinity(k))
-            oZ, oT = _transport(g, Zo, To)
-            uZ, uT = _transport(g, Zu, Tu)
-            zZ, zT = _transport(g, Zo, Tu)
-
-            def dw(Z1, T1, Z2, T2):
-                D = dist_batch(Z1, T1, Z2, T2)
-                if omega.infinite:
-                    return D
-                dw1 = dist_batch(Z1, T1, omega.z[None, :], omega.t)
-                dw2 = dist_batch(Z2, T2, omega.z[None, :], omega.t)
-                return D / (dw1 * dw2)
-
-            r = dw(oZ, oT, uZ, uT)
-            a = dw(zZ, zT, uZ, uT)
-            bb = dw(oZ, oT, zZ, zT)
+            omega = map_points(g.g, Points.at_infinity(k, b))[0]
+            o, u, z = _moved(g.g, Points.finite(Zo, To), Points.finite(Zu, Tu),
+                             Points.finite(Zo, Tu))
+            r = dist_w_stack(omega, o, u)
+            a = dist_w_stack(omega, z, u)
+            bb = dist_w_stack(omega, o, z)
             num = np.abs(r ** 4 - a ** 4 - bb ** 4)
             den = np.maximum(r ** 4, np.maximum(a ** 4, bb ** 4))
             worst = max(worst, float(np.max(num / den)))
@@ -174,26 +162,6 @@ def test_criterion_distance_formula():
             f"{elapsed:.1f}s (< 10s)")
 
 
-def _circle_coords(circle, ss, k):
-    """Chart coordinates of transported canonical circle points, batched."""
-    n = ss.shape[0]
-    L = np.zeros((k + 1, n), dtype=complex)
-    L[0] = -0.5 * ss * ss
-    L[1] = ss
-    L[k] = 1.0
-    X = (circle.map.g @ L).T
-    return _drop_batch(X)
-
-
-def _chain_coords(chain, ts, k):
-    n = ts.shape[0]
-    L = np.zeros((k + 1, n), dtype=complex)
-    L[0] = 0.5j * ts
-    L[k] = 1.0
-    X = (chain.map.g @ L).T
-    return _drop_batch(X)
-
-
 def test_criterion_ptolemy():
     start = time.perf_counter()
     worst_ineq = 0.0
@@ -205,8 +173,7 @@ def test_criterion_ptolemy():
             Z, T = _ball_points(rng, 4 * 1000, m)
             Z = Z.reshape(1000, 4, m)
             T = T.reshape(1000, 4)
-            D = dist_batch(Z[:, :, None, :], T[:, :, None],
-                           Z[:, None, :, :], T[:, None, :])
+            D = _pair_dists(Z, T)
             iu0, iu1 = np.triu_indices(4, 1)
             D = D[D[:, iu0, iu1].min(axis=1) > 4e-3]
             t1 = D[:, 0, 2] * D[:, 1, 3]
@@ -224,11 +191,11 @@ def test_criterion_ptolemy():
             sigma = sample_rcircle(cfg, rng)
             ss = np.sort(np.tan(rng.uniform(-1.4, 1.4, size=(1000, 4))), axis=1)
             ss = ss[np.diff(ss, axis=1).min(axis=1) > 1e-2]
-            Z, T = _circle_coords(sigma, ss.reshape(-1), k)
-            Z = Z.reshape(-1, 4, k - 1)
-            T = T.reshape(-1, 4)
-            D = dist_batch(Z[:, :, None, :], T[:, :, None],
-                           Z[:, None, :, :], T[:, None, :])
+            # the canonical R-circle points (s e_1, 0), moved by its map
+            line = np.zeros((ss.size, k - 1), dtype=complex)
+            line[:, 0] = ss.reshape(-1)
+            (P,) = _moved(sigma.map.g, Points.finite(line, np.zeros(ss.size)))
+            D = _pair_dists(P.Z.reshape(-1, 4, k - 1), P.T.reshape(-1, 4))
             t1 = D[:, 0, 2] * D[:, 1, 3]
             t2 = D[:, 0, 1] * D[:, 2, 3]
             t3 = D[:, 0, 3] * D[:, 1, 2]
@@ -237,11 +204,9 @@ def test_criterion_ptolemy():
             chain = sample_chain(cfg, rng)
             ts = np.sort(rng.uniform(-3.0, 3.0, size=(1000, 4)), axis=1)
             ts = ts[np.diff(ts, axis=1).min(axis=1) > 1e-2]
-            Zc, Tc = _chain_coords(chain, ts.reshape(-1), k)
-            Zc = Zc.reshape(-1, 4, k - 1)
-            Tc = Tc.reshape(-1, 4)
-            Dc = dist_batch(Zc[:, :, None, :], Tc[:, :, None],
-                            Zc[:, None, :, :], Tc[:, None, :]) ** 2
+            # the canonical chain points (0, t), moved by its map
+            (P,) = _moved(chain.map.g, Points.finite(np.zeros((ts.size, k - 1)), ts.reshape(-1)))
+            Dc = _pair_dists(P.Z.reshape(-1, 4, k - 1), P.T.reshape(-1, 4)) ** 2
             s1 = Dc[:, 0, 2] * Dc[:, 1, 3]
             s2 = Dc[:, 0, 1] * Dc[:, 2, 3]
             s3 = Dc[:, 0, 3] * Dc[:, 1, 2]

@@ -14,7 +14,6 @@ from chgeom.core import (
     chordal_sq,
     crt,
     dist,
-    dist_batch,
     dist_w,
     gauge,
     harmonicity_residual,
@@ -59,22 +58,6 @@ def test_dist_values():
     assert dist(point([1], 0.0), point([2], 0.0)) == 1.0
     assert dist(origin(2), infinity(2)) == math.inf
     assert dist(infinity(2), infinity(2)) == 0.0
-
-
-def test_dist_batch_matches_dist(rng):
-    cfg = SpaceConfig(k=3)
-    pts = sample_distinct_points(cfg, rng, 6)
-    Z = np.stack([p.z for p in pts])
-    T = np.array([p.t for p in pts])
-    D = dist_batch(Z[:, None, :], T[:, None], Z[None, :, :], T[None, :])
-    for i in range(6):
-        for j in range(6):
-            if i == j:
-                # summation order leaves ~1e-17 in the cross term, which the
-                # fourth root turns into ~1e-9 on self-pairs
-                assert D[i, j] < 1e-7
-            else:
-                assert D[i, j] == pytest.approx(dist(pts[i], pts[j]), abs=1e-13)
 
 
 def test_dist_w_values():

@@ -6,6 +6,8 @@ exact equality.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ from chgeom.core import (
     GeometryError,
     Points,
     SpaceConfig,
+    _modulus,
+    _norm,
+    _norm_rows,
     chordal_sq,
     chordal_sq_stack,
     crt,
@@ -42,7 +47,6 @@ from chgeom.projective import (
     FINITE_CONSISTENCY_TOL,
     INFINITY_SLICE_TOL,
     NULL_TOL,
-    _norm,
     _uniform,
     act_stack,
     chart,
@@ -141,6 +145,26 @@ def test_norm_matches_linalg_norm(rng, n):
             # the samplers also normalise fresh real vectors with it
             x = X.real.copy()
             assert _norm(x) == np.linalg.norm(x)
+
+
+def test_declared_numpy_floor_has_vecdot():
+    # the stacked reductions call np.vecdot, which numpy added in 2.0
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)
+    assert floor is not None and (int(floor[1]), int(floor[2])) >= (2, 0)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_stacked_reductions_match_per_row(rng, k):
+    # core's stacked row norm, pairing and modulus against their one-vector forms
+    for shape in [(k,), (200, k), (20, 10, k)]:
+        a, b = (10.0 ** rng.uniform(-3.0, 3.0, shape) * _random_vector(rng, shape, 1.0)
+                for _ in range(2))
+        rows_a, rows_b = a.reshape(-1, k), b.reshape(-1, k)
+        assert _bits(np.ravel(_norm_rows(a))) == _bits([_norm(r) for r in rows_a])
+        assert _bits(np.ravel(np.vecdot(a, b))) == _bits([np.vdot(r, s)
+                                                          for r, s in zip(rows_a, rows_b)])
+        assert _bits(_modulus(a)) == _bits([abs(z) for z in a.ravel()])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -444,9 +468,8 @@ def test_herm_stack_matches_scalar(rng, k):
         X, Y = _random_vector(rng, (200, k + 1), scale), _random_vector(rng, (200, k + 1), scale)
         H = herm_stack(X, Y)
         assert _bits(H) == _bits(np.array([herm(x, y) for x, y in zip(X, Y)]))
-        # np.hypot is the abs a scalar pairing takes
-        assert _bits(np.hypot(H.real, H.imag)) == _bits(np.array([abs(herm(x, y))
-                                                                   for x, y in zip(X, Y)]))
+        # _modulus is the abs a scalar pairing takes
+        assert _bits(_modulus(H)) == _bits(np.array([abs(herm(x, y)) for x, y in zip(X, Y)]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -474,7 +497,7 @@ def test_metric_stacks_match_scalar(rng, k):
     # the projective triple from stacked lifts and pairings
     X = [lift_stack(q) for q in Q]
     W = [herm_stack(X[i], X[j]) for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
-    assert _bits(triples_from_pairings([np.hypot(w.real, w.imag) for w in W])) == _bits(
+    assert _bits(triples_from_pairings([_modulus(w) for w in W])) == _bits(
         [crt_projective(*r).components() for r in good])
 
 

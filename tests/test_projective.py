@@ -219,13 +219,6 @@ def test_inverse_uses_form():
     assert np.allclose(gi.g @ g.g, np.eye(3), atol=1e-12)
 
 
-def test_acts_like_projective_equality():
-    g = make_dilation(2.0, 2)
-    h = MoebiusMap(np.exp(0.3j) * g.g, check=False)  # same projective action
-    assert g.acts_like(h)
-    assert not g.acts_like(make_dilation(2.1, 2))
-
-
 def test_crt_projective_agrees_with_chart(rng):
     cfg = SpaceConfig(k=3)
     for _ in range(200):

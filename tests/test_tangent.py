@@ -245,17 +245,6 @@ def _complex_rows(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@pytest.mark.parametrize("shape", [(200, n) for n in range(1, 9)] + [(50, 4, 2)], ids=str)
-def test_stacked_norms_and_pairing_match_per_row(shape):
-    rng = np.random.default_rng(sum(shape))
-    a, b = _complex_rows(rng, shape), _complex_rows(rng, shape)
-    rows = lambda m: m.reshape(-1, shape[-1])
-    assert np.array_equal(tangent._norms(a).ravel(),
-                          [np.linalg.norm(r) for r in rows(a)])
-    assert np.array_equal(tangent._vdot(a, b).ravel(),
-                          [np.vdot(r, s) for r, s in zip(rows(a), rows(b))])
-
-
 def _equal_frames(got, want):
     return all(g is w is None or np.array_equal(g, w) for g, w in zip(got, want))
 
