@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chgeom import tangent
-from chgeom.core import GeometryError
+from chgeom.core import GeometryError, _norm_rows
 from chgeom.tangent import (
     adapted_frame,
     curvature_operator_spectrum,
@@ -243,6 +243,18 @@ def _word_reference(u, v):
 
 def _complex_rows(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(200, n) for n in range(1, 9)] + [(50, 4, 2)], ids=str)
+def test_stacked_norms_and_pairing_match_per_row(shape):
+    # the row norm and pairing tangent's frames and curvatures take from core
+    rng = np.random.default_rng(sum(shape))
+    a, b = _complex_rows(rng, shape), _complex_rows(rng, shape)
+    rows = lambda m: m.reshape(-1, shape[-1])
+    assert np.array_equal(_norm_rows(a).ravel(),
+                          [np.linalg.norm(r) for r in rows(a)])
+    assert np.array_equal(np.vecdot(a, b).ravel(),
+                          [np.vdot(r, s) for r, s in zip(rows(a), rows(b))])
 
 
 def _equal_frames(got, want):
