@@ -2,8 +2,8 @@
 
 Fixing the remote point, the vertical chains fibrate the chart; the base
 inherits the horizontal Euclidean geometry.  Busemann functions of
-horizontal lines are affine, constant on fibers, and computable both in
-closed form and as the defining limit.
+horizontal lines are affine, constant on fibers, and their closed form
+agrees with the defining limit read with the metric alone.
 """
 
 import numpy as np
@@ -35,11 +35,14 @@ print(f"  distance between the fibers over 0 and e1: {base_dist(inf, F, Fp):.6f}
 
 print("\n== Busemann function of the horizontal axis ==")
 sigma = canonical_rcircle(k)
+# the defining limit d(x, sigma(s)) - d(o, sigma(s)) on a doubling pair of
+# far points of sigma, with one Richardson step
+far = [sigma.point_at(s) for s in (2.0 ** 19, 2.0 ** 20)]
 for x in [point([0], 3.0), sigma.point_at(2.0), sigma.point_at(-1.5),
           point([0.5 + 0.5j], 1.0)]:
     b_closed = busemann(inf, sigma, o, x)
-    b_limit = busemann(inf, sigma, o, x, method="limit")
-    print(f"  b({x}) = {b_closed:+.6f}   (limit route {b_limit:+.6f})")
+    v1, v2 = (dist(x, f) - dist(o, f) for f in far)
+    print(f"  b({x}) = {b_closed:+.6f}   (defining limit {2 * v2 - v1:+.6f})")
 
 print("\n== vertical shifts and pure homotheties ==")
 gamma = vertical_shift(inf, 4.0)

@@ -84,14 +84,6 @@ OFF_CIRCLE_MARGIN = 1e-6
 _DEFAULT_PARAMS = (0.0, 1.0, -1.0, 0.5, 2.0, -2.0, math.inf)
 
 
-def _sample_params(n: int, step: float):
-    """The default parameters, followed by multiples of ``step``."""
-    params = list(_DEFAULT_PARAMS)[:n]
-    while len(params) < n:
-        params.append(step * (len(params) - 2))
-    return params
-
-
 class _Membership:
     """``contains``, for the shapes that define ``membership_residual``."""
 
@@ -103,8 +95,7 @@ class _Membership:
 class _Circle(_Membership):
     """A circle stored as the Moebius map carrying its canonical model onto it.
 
-    A subclass names its canonical point at a finite parameter and, as
-    ``_STEP``, the step of its sample parameters beyond the defaults.
+    A subclass names its canonical point at a finite parameter.
     """
 
     map: MoebiusMap
@@ -120,7 +111,10 @@ class _Circle(_Membership):
         return self.map(self._canonical_point(s))
 
     def sample_points(self, n: int) -> list:
-        return [self.point_at(s) for s in _sample_params(n, self._STEP)]
+        """The points at the first n of seven fixed parameters, infinity last."""
+        if not 0 <= n <= len(_DEFAULT_PARAMS):
+            raise GeometryError(f"a circle samples 0 to {len(_DEFAULT_PARAMS)} points, not {n}")
+        return [self.point_at(s) for s in _DEFAULT_PARAMS[:n]]
 
     def points_at_stack(self, g: np.ndarray, params: np.ndarray) -> list:
         """``self.transported(g[i]).point_at(params[i, j])`` for finite parameters,
@@ -136,8 +130,6 @@ class _Circle(_Membership):
 @dataclass(frozen=True)
 class CCircle(_Circle):
     """A chain, as the image of the vertical axis + infinity under ``map``."""
-
-    _STEP = 0.37
 
     def _canonical_point(self, tau: float) -> BoundaryPoint:
         return point(np.zeros(self.k - 1), tau)
@@ -170,8 +162,6 @@ class CCircle(_Circle):
 @dataclass(frozen=True)
 class RCircle(_Circle):
     """An R-circle, as the image of the horizontal first axis + infinity."""
-
-    _STEP = 0.41
 
     def _canonical_point(self, s: float) -> BoundaryPoint:
         z = np.zeros(self.k - 1, dtype=complex)

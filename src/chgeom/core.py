@@ -278,8 +278,8 @@ class CrossRatioTriple:
 
     @classmethod
     def from_components(cls, a: float, b: float, c: float) -> "CrossRatioTriple":
-        m = max(a, b, c)
-        if not m > 0 or not math.isfinite(m):
+        m = max(a, b, c)   # max skips a NaN unless it comes first
+        if not (m > 0 and math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
             raise GeometryError(f"degenerate cross-ratio triple ({a}, {b}, {c})")
         return cls(a / m, b / m, c / m)
 

@@ -11,7 +11,7 @@ an R-line through omega and o is a horizontal line {s e} through the
 origin and s is its arclength.
 
 Besides the projection and the base distance, this module provides
-Busemann functions of R-lines (closed form and the defining limit),
+Busemann functions of R-lines (in closed form),
 vertical shifts, pure homotheties, and the holonomy of horizontal lifts:
 lifting the sides of a closed base polygon returns to the starting fiber
 shifted vertically by minus four times the enclosed signed area.
@@ -28,9 +28,7 @@ from .core import (
     BoundaryPoint,
     GeometryError,
     _norm,
-    dist,
     dist_w,
-    point,
     same_point,
 )
 from .circles import CCircle, RCircle, _chain_point_away_from, mu
@@ -48,9 +46,6 @@ __all__ = [
     "tau_stack",
     "signed_area",
 ]
-
-_LIMIT_SCALES = (2.0 ** 19, 2.0 ** 20)   # a doubling pair for the Richardson step
-
 
 def project_base(omega: BoundaryPoint, x: BoundaryPoint) -> np.ndarray:
     """Base coordinate of x under the fibration by chains through omega.
@@ -87,7 +82,7 @@ def base_dist(omega: BoundaryPoint, F: CCircle, Fp: CCircle) -> float:
 # ---------------------------------------------------------------------------
 
 def busemann(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint,
-             x: BoundaryPoint, method: str = "closed_form") -> float:
+             x: BoundaryPoint) -> float:
     """Busemann function of the R-line sigma in the space with omega remote.
 
     Normalized to vanish at ``o`` and to decrease from ``o`` towards
@@ -95,9 +90,7 @@ def busemann(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint,
     line itself it is minus the arclength from ``o``.  In
     ``chart(omega, o)`` sigma is the line {s e}, with e the direction of
     sigma's point at a parameter between o's and omega's, and the closed
-    form is -Re<z_x, e>.  ``method="limit"``
-    evaluates the defining limit d(x, s e) - s at the scales 2**19 and
-    2**20 and combines them with one Richardson extrapolation step.
+    form is -Re<z_x, e>.
     """
     if same_point(x, omega, tol=1e-14):
         raise GeometryError("the Busemann function is defined away from omega")
@@ -123,13 +116,7 @@ def busemann(omega: BoundaryPoint, sigma: RCircle, o: BoundaryPoint,
     x1 = c(x)
     if x1.infinite:
         raise GeometryError("x has no finite chart image")
-    if method == "closed_form":
-        return -complex(np.vdot(e, x1.z)).real
-    if method != "limit":
-        raise GeometryError(f"unknown Busemann method {method!r}")
-    v1, v2 = (dist(x1, point(s * e, 0.0)) - s for s in _LIMIT_SCALES)
-    # first-order Richardson step on the doubling pair
-    return 2.0 * v2 - v1
+    return -complex(np.vdot(e, x1.z)).real
 
 
 # ---------------------------------------------------------------------------

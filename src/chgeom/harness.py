@@ -79,6 +79,11 @@ class UsageError(Exception):
     """Bad suite name or configuration; maps to exit code 2."""
 
 
+def _error_phrase(error: str) -> str:
+    """A report's ``error`` as printed: only an exception is said to be raised."""
+    return error if error.startswith(_NON_FINITE) else f"raised {error}"
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str
@@ -162,7 +167,7 @@ class SuiteReport:
                 f"tol={p.tol:7.1e}  trials={p.trials}"
             )
             if p.error is not None:
-                lines.append(f"         trial {p.worst_trial} raised {p.error}")
+                lines.append(f"         trial {p.worst_trial} {_error_phrase(p.error)}")
             if not p.passed:
                 spec = f"{self.suite}:{self.config['seed']}:{p.worst_trial}"
                 flags = f"--dim {self.config['k']}"
@@ -365,8 +370,8 @@ def replay(spec: str, k: int, tol: float | None = None) -> int:
         if p.skipped:
             print(f"  [SKIP] {p.name} (needs k >= {prop.min_k})")
             continue
-        if p.error is not None:  # nothing raised for a non-finite residual
-            detail = p.error if p.error.startswith(_NON_FINITE) else f"raised {p.error}"
+        if p.error is not None:
+            detail = _error_phrase(p.error)
         else:
             detail = f"residual={p.max_residual:9.3e}  tol={p.tol:7.1e}"
         failures += not p.passed

@@ -653,7 +653,11 @@ def busemann_affine_fibers(cfg, rng):
     s0, h = _uniform(rng, -1, 1), _uniform(rng, 0.4, 1.2)
     pts = [line.point_at(float(s0 + j * h)) for j in (-1, 0, 1)]
     closed = [fo.busemann(omega, sigma, o, p) for p in pts]
-    limits = [fo.busemann(omega, sigma, o, p, method="limit") for p in pts]
+    # the defining limit of d(p, sigma(s)) - d(o, sigma(s)) as sigma(s) runs
+    # to omega: a doubling pair of far points and one Richardson step
+    far = [sigma.point_at(s) for s in (2.0 ** 19, 2.0 ** 20)]
+    v = [[dist(p, f) - dist(o, f) for f in far] for p in pts]
+    limits = [2 * v2 - v1 for v1, v2 in v]
     scale = max(1.0, max(abs(b) for b in closed))
     worst = _rel(limits[0] + limits[2] - 2 * limits[1], scale)
     worst = max(worst, max(_rel(c - l, scale) for c, l in zip(closed, limits)))

@@ -175,18 +175,15 @@ def _complex_draws(g):
     return np.ascontiguousarray(np.moveaxis(g[..., 0, :] + 1j * g[..., 1, :], -2, 0))
 
 
-def adapted_frame(k: int, rng=None):
-    """An adapted frame (x, y=Jx, z, u=Jz, v) with z complex-orthogonal to x.
+def adapted_frame(k: int):
+    """The adapted frame (x, y=Jx, z, u=Jz, v) on the first coordinate axes.
 
-    ``v`` is orthogonal to z and Jz inside the complex orthogonal
-    complement of x and is None for k < 3.  Without ``rng`` the frame is
-    built on the first coordinate axes.
+    z is complex-orthogonal to x, and ``v`` is orthogonal to z and Jz
+    inside the complex orthogonal complement of x and is None for k < 3.
     """
     if k < 2:
         raise GeometryError("adapted frames need complex dimension k >= 2")
-    m = min(k, 3)
-    return _frames(np.eye(k, dtype=complex)[:m] if rng is None
-                   else _complex_draws(rng.standard_normal((m, 2, k))))
+    return _frames(np.eye(k, dtype=complex)[:min(k, 3)])
 
 
 def holonomy_check(k: int, trials: int = 32, rng=None) -> dict:

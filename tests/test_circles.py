@@ -33,6 +33,7 @@ from chgeom.circles import (
 from chgeom.projective import MoebiusMap, chart
 from chgeom.sampling import (
     canonical_chain,
+    canonical_rcircle,
     random_moebius,
     sample_chain,
     sample_distinct_points,
@@ -300,6 +301,17 @@ def test_rcircle_chain_two_point_bound(space, rng):
             hits += 1
     # grid points land near the two crossings at most a few times each
     assert hits <= 8
+
+
+@pytest.mark.parametrize("circle", [canonical_chain, canonical_rcircle])
+def test_circle_samples_at_most_its_seven_fixed_parameters(circle):
+    C = circle(2)
+    pts = C.sample_points(7)
+    assert pts[-1].infinite and not any(p.infinite for p in pts[:-1])
+    assert C.sample_points(0) == []
+    for n in (-1, 8):
+        with pytest.raises(GeometryError):
+            C.sample_points(n)
 
 
 def test_circle_k1_degenerate():

@@ -15,7 +15,9 @@ from chgeom.core import (
     origin,
     point,
 )
+from chgeom import foliation
 from chgeom.circles import ccircle_through
+from chgeom.harness import SuiteConfig, run_suite
 from chgeom.projective import MoebiusMap, chart
 from chgeom.foliation import (
     Polygon,
@@ -100,8 +102,15 @@ def test_busemann_on_line_and_fibers():
     assert busemann(omega, sigma, o, sigma.point_at(-1.5)) == pytest.approx(1.5, abs=1e-12)
     with pytest.raises(GeometryError):
         busemann(omega, sigma, o, omega)
-    with pytest.raises(GeometryError):
-        busemann(omega, sigma, o, point([1], 0.0), method="bogus")
+
+
+def _busemann_limit(sigma, o, x):
+    # the definition: d(x, sigma(s)) - d(o, sigma(s)) as sigma(s) runs to
+    # sigma's point at infinite parameter, on a doubling pair of far
+    # points with one Richardson step
+    v1, v2 = (dist(x, f) - dist(o, f) for f in (sigma.point_at(2.0 ** 19),
+                                                 sigma.point_at(2.0 ** 20)))
+    return 2.0 * v2 - v1
 
 
 def test_busemann_limit_agrees_with_closed_form(rng):
@@ -111,15 +120,16 @@ def test_busemann_limit_agrees_with_closed_form(rng):
     o = sigma.point_at(0.3)
     for _ in range(10):
         x = sample_point(cfg, rng)
-        b_closed = busemann(omega, sigma, o, x)
-        b_limit = busemann(omega, sigma, o, x, method="limit")
-        assert b_limit == pytest.approx(b_closed, abs=1e-6)
+        assert _busemann_limit(sigma, o, x) == pytest.approx(
+            busemann(omega, sigma, o, x), abs=1e-6)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_busemann_is_minus_signed_arclength_on_transported_rlines(rng, k):
     # omega remote and omega a finite point of sigma two parameters behind
-    # o; the points at o's parameter + h lie ahead of o exactly for h > 0
+    # o; the points at o's parameter + h lie ahead of o exactly for h > 0.
+    # Off the line, the value is the defining limit along sigma when omega
+    # is infinity, and for a finite omega the value read in chart(omega, o)
     cfg = SpaceConfig(k=k)
     for _ in range(20):
         sigma = sample_rcircle(cfg, rng)
@@ -131,8 +141,14 @@ def test_busemann_is_minus_signed_arclength_on_transported_rlines(rng, k):
                 expected = -math.copysign(dist_w(omega, o, p), h)
                 assert busemann(omega, sigma, o, p) == pytest.approx(expected, abs=1e-10)
             x = sample_point(cfg, rng)
-            assert busemann(omega, sigma, o, x, method="limit") == pytest.approx(
-                busemann(omega, sigma, o, x), abs=1e-6)
+            bx = busemann(omega, sigma, o, x)
+            if omega.infinite:
+                assert bx == pytest.approx(_busemann_limit(sigma, o, x), abs=1e-6)
+            else:
+                c = chart(omega, o)
+                assert bx == pytest.approx(
+                    busemann(infinity(k), sigma.transported(c), origin(k), c(x)),
+                    rel=1e-11, abs=1e-11)
 
 
 def test_busemann_orients_by_a_point_before_omega():
@@ -144,8 +160,7 @@ def test_busemann_orients_by_a_point_before_omega():
     assert busemann(omega, sigma, o, sigma.point_at(-0.5)) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("method", ["closed_form", "limit"])
-def test_busemann_makes_six_moebius_actions(rng, monkeypatch, method):
+def test_busemann_makes_six_moebius_actions(rng, monkeypatch):
     # the chart's anchor, o's and omega's parameters, the point ahead, its
     # and x's images
     sigma = sample_rcircle(SpaceConfig(k=3), rng)
@@ -155,8 +170,21 @@ def test_busemann_makes_six_moebius_actions(rng, monkeypatch, method):
     action = MoebiusMap.__call__
     monkeypatch.setattr(MoebiusMap, "__call__",
                         lambda self, p: calls.append(p) or action(self, p))
-    busemann(omega, sigma, o, x, method=method)
+    busemann(omega, sigma, o, x)
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda omega, sigma, o, x: 0.0,
+    lambda omega, sigma, o, x: -busemann(omega, sigma, o, x),
+], ids=["zero", "negated"])
+def test_busemann_law_fails_on_a_wrong_busemann_function(monkeypatch, wrong):
+    # the law's reference is the defining limit, read with dist alone, so
+    # a constant or reversed Busemann function cannot pass it
+    monkeypatch.setattr(foliation, "busemann", wrong)
+    rep = run_suite(SuiteConfig(suite="foliation", k=3, trials=600, seed=0))
+    law = {p.name: p for p in rep.properties}["busemann_affine_fibers"]
+    assert law.error is None and not law.passed and law.max_residual > 1.0
 
 
 def test_busemann_affine_along_rlines():

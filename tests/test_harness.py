@@ -499,6 +499,19 @@ def test_nan_residual_fails_its_property(capsys):
         assert f"non-finite residual {bad}" in replayed
 
 
+def test_text_report_says_raised_only_for_exceptions():
+    # a NaN residual is named as such, as replay names it
+    i = next(i for i, p in enumerate(REGISTRY) if p.name == "sectional_bounds")
+    saved = REGISTRY[i]
+    REGISTRY[i] = replace(saved, fn=lambda cfg, rng: math.nan, batched=None)
+    try:
+        text = run_suite(SuiteConfig(suite="holonomy", k=2, trials=100, seed=5)).to_text()
+    finally:
+        REGISTRY[i] = saved
+    assert "trial 0 non-finite residual nan" in text
+    assert "raised" not in text
+
+
 def test_replay_says_raised_only_for_exceptions(capsys):
     # a trial that returns NaN or infinity raised nothing; one that raises did
     i = next(i for i, p in enumerate(REGISTRY) if p.name == "sectional_bounds")

@@ -42,14 +42,13 @@ from chgeom.core import (
     same_point,
     triples_from_pairings,
 )
-from chgeom.foliation import Polygon, busemann, horizontal_lift, tau, tau_stack
+from chgeom.foliation import Polygon, horizontal_lift, tau, tau_stack
 from chgeom.projective import (
     FINITE_CONSISTENCY_TOL,
     INFINITY_SLICE_TOL,
     NULL_TOL,
     _uniform,
     act_stack,
-    chart,
     crt_projective,
     dilation_stack,
     drop,
@@ -74,7 +73,6 @@ from chgeom.sampling import (
     moebius_stack,
     random_moebius,
     sample_point,
-    sample_rcircle,
 )
 
 
@@ -253,37 +251,6 @@ def test_drop_accepts_lists_and_real_arrays(rng):
     # real input is converted, as before
     e0 = drop([1.0, 0.0, 0.0])
     assert e0.infinite
-
-
-def _busemann_limit_reference(omega, sigma, o, x):
-    # the defining limit on the full doubling sequence 2**4 .. 2**20, in
-    # the isometric chart where sigma is the line {s e} through the
-    # origin; the Richardson step reads only its last two values
-    c = chart(omega, o)
-    so = sigma.map.inverse()(o).z[0].real
-    w = sigma.map.inverse()(omega)
-    sw = math.inf if w.infinite else w.z[0].real
-    ahead = c(sigma.point_at(so + (min(1.0, 0.5 * (sw - so)) if so < sw else 1.0))).z
-    e = ahead / np.linalg.norm(ahead)
-    x1 = c(x)
-    vals = []
-    for s in [2.0 ** j for j in range(4, 21)]:
-        vals.append(dist(x1, point(s * e, 0.0)) - s)
-    return 2.0 * vals[-1] - vals[-2]
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_busemann_limit_matches_full_sequence(rng, k):
-    space = SpaceConfig(k=k)
-    for _ in range(100):
-        sigma = sample_rcircle(space, rng)
-        a, b = rng.uniform(-2.0, 2.0, size=2)
-        # omega remote (the chart's infinity) and omega a finite point of sigma
-        for omega in (sigma.point_at(math.inf), sigma.point_at(float(a))):
-            o = sigma.point_at(float(b))
-            x = sample_point(space, rng)
-            assert busemann(omega, sigma, o, x, method="limit") == \
-                _busemann_limit_reference(omega, sigma, o, x)
 
 
 def _tau_reference(vertices, t0, base_index=0):
@@ -573,3 +540,33 @@ def test_triples_from_pairings_raises_as_from_pairings():
     with pytest.raises(GeometryError) as stacked:
         triples_from_pairings(w)
     assert str(stacked.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_non_finite_triple_component_raises_in_every_position(position, bad):
+    # Python's max skips a NaN unless it comes first, so each entry is tested
+    comps = [1.0, 0.5, 0.25]
+    comps[position] = bad
+    with pytest.raises(GeometryError):
+        CrossRatioTriple.from_components(*comps)
+    # pairings whose complementary products are the squared components, in row 1
+    w = [np.ones(2) for _ in range(6)]
+    for i, c in enumerate(comps):
+        w[i] = np.array([1.0, c * c])
+    with pytest.raises(GeometryError) as scalar:
+        CrossRatioTriple.from_pairings([float(a[1]) for a in w])
+    with pytest.raises(GeometryError) as stacked:
+        triples_from_pairings(w)
+    assert str(stacked.value) == str(scalar.value)
+
+
+def test_crt_with_an_overflowing_distance_raises_in_every_order():
+    # dist(p, q) overflows to NaN; the NaN lands in a different component
+    # of the triple for each order of the entries
+    p, q = point([1e200], 1e308), point([1e200j], -1e308)
+    x, y = point([1.0], 0.0), point([0.0], 1.0)
+    assert math.isnan(dist(p, q))
+    for quad in ((x, p, q, y), (p, q, x, y), (x, y, p, q)):
+        with pytest.raises(GeometryError):
+            crt(*quad)
