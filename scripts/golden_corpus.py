@@ -14,7 +14,12 @@ Each differing entry is printed with its old and new ``max_residual``,
 ``pass`` and ``error`` (and any other field that moved), and the output
 ends with a per-law table in Markdown: the differing entries, how many
 of them moved ``max_residual`` up and down, and the worst new
-``max_residual`` over the law's tolerance.  Exit code 0 when
+``max_residual`` over the law's tolerance.  After the table it applies
+the named-differences rule (:func:`named_differences`): it lists each
+entry whose ``pass``, ``trials``, ``skipped`` or ``error`` moved, and each
+moved entry whose new ``max_residual`` exceeds tol/100.  A change that
+moves residuals may rewrite the corpus only when both lists are empty or
+every entry on them is named and explained.  Exit code 0 when
 every entry matches (or after ``--write``), 1 otherwise.
 The script imports the package from the ``src`` directory of its own
 checkout.  The 110 runs are independent; they are spread over one worker
@@ -37,6 +42,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from chgeom.harness import SuiteConfig, run_suite  # noqa: E402
 
 CORPUS = ROOT / "tests" / "data" / "golden_exact.json.gz"
+VERDICT = ("pass", "trials", "skipped", "error")
 TRIALS = 600
 RUNS = ([(3, seed) for seed in range(60)] + [(2, seed) for seed in range(20)]
         + [(k, seed) for k in (1, 4, 5) for seed in range(10)])
@@ -64,6 +70,31 @@ def differing(expected: list[dict], actual: list[dict]) -> list[str]:
     if len(expected) != len(actual):
         diffs.append(f"<{len(expected)} entries expected, {len(actual)} found>")
     return diffs
+
+
+def named_differences(expected: list[dict], actual: list[dict]) -> tuple[list, list]:
+    """The entries that the named-differences rule asks a change to name.
+
+    ``expected`` and ``actual`` are report entries tagged with ``k`` and
+    ``seed``.  Returns two lists over the entries whose JSON text moved:
+    those whose ``pass``, ``trials``, ``skipped`` or ``error`` moved, as
+    ``(k, seed, name, {field: (old, new)})`` (a field of an entry found on
+    one side only reads None on the other), and those whose new
+    ``max_residual`` exceeds ``tol / 100``, as ``(k, seed, name, old, new, tol)``.
+    """
+    key = lambda e: (e["k"], e["seed"], e["name"])
+    old, new = {key(e): e for e in expected}, {key(a): a for a in actual}
+    verdicts, residuals = [], []
+    for ident in [*old, *(ident for ident in new if ident not in old)]:
+        e, a = old.get(ident, {}), new.get(ident, {})
+        if json.dumps(e, sort_keys=True) == json.dumps(a, sort_keys=True):
+            continue
+        moved = {f: (e.get(f), a.get(f)) for f in VERDICT if e.get(f) != a.get(f)}
+        if moved:
+            verdicts.append((*ident, moved))
+        if a and a["max_residual"] > a["tol"] / 100:
+            residuals.append((*ident, e.get("max_residual"), a["max_residual"], a["tol"]))
+    return verdicts, residuals
 
 
 def describe(expected: dict, actual: dict) -> str:
@@ -118,6 +149,15 @@ def main(argv=None) -> int:
         for name, (n, up, down, worst) in sorted(per_law.items(),
                                                  key=lambda item: (-item[1][0], item[0])):
             print(f"| `{name}` | {n} | {up} | {down} | {worst:.2e} |")
+    verdicts, residuals = named_differences(
+        [e for run in RUNS for e in corpus[run]], [a for run in results for a in run])
+    print(f"{len(verdicts)} entries moved pass, trials, skipped or error")
+    for k, seed, name, moved in verdicts:
+        print(f"  k={k} seed={seed}: {name}: "
+              + "; ".join(f"{f} {o!r} -> {n!r}" for f, (o, n) in moved.items()))
+    print(f"{len(residuals)} moved entries have max_residual above tol/100")
+    for k, seed, name, before, after, tol in residuals:
+        print(f"  k={k} seed={seed}: {name}: max_residual {before!r} -> {after!r}, tol {tol!r}")
     n_diff = sum(row[0] for row in per_law.values())
     print(f"{n_diff} of {total} entries differ in {len(per_law)} laws; "
           f"{n_fail} failing properties")

@@ -168,7 +168,7 @@ def gauge(p: BoundaryPoint) -> float:
     if p.infinite:
         raise GeometryError("gauge of the infinite point is undefined")
     zz = complex(np.vdot(p.z, p.z)).real
-    return (zz * zz + p.t * p.t) ** 0.25
+    return math.sqrt(math.sqrt(zz * zz + p.t * p.t))
 
 
 def dist(p: BoundaryPoint, q: BoundaryPoint) -> float:
@@ -180,7 +180,7 @@ def dist(p: BoundaryPoint, q: BoundaryPoint) -> float:
     dz = q.z - p.z
     dt = q.t - p.t + 2.0 * complex(np.vdot(p.z, q.z)).imag
     zz = complex(np.vdot(dz, dz)).real
-    return (zz * zz + dt * dt) ** 0.25
+    return math.sqrt(math.sqrt(zz * zz + dt * dt))
 
 
 def dist_w(omega: BoundaryPoint, p: BoundaryPoint, q: BoundaryPoint) -> float:
@@ -248,9 +248,10 @@ def chordal(p: BoundaryPoint, q: BoundaryPoint) -> float:
     if p.infinite and q.infinite:
         return 0.0
     if p.infinite or q.infinite:
-        other = q if p.infinite else p
-        return 1.0 / math.sqrt(1.0 + gauge(other) ** 2)
-    return dist(p, q) / math.sqrt((1.0 + gauge(p) ** 2) * (1.0 + gauge(q) ** 2))
+        g = gauge(q if p.infinite else p)
+        return 1.0 / math.sqrt(1.0 + g * g)
+    gp, gq = gauge(p), gauge(q)
+    return dist(p, q) / math.sqrt((1.0 + gp * gp) * (1.0 + gq * gq))
 
 
 def chordal_sq(p: BoundaryPoint, q: BoundaryPoint) -> float:
@@ -261,7 +262,8 @@ def chordal_sq(p: BoundaryPoint, q: BoundaryPoint) -> float:
     gap is first order in coordinate error and separates genuinely
     distinct points at order one.
     """
-    return chordal(p, q) ** 2
+    c = chordal(p, q)
+    return c * c
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +369,8 @@ def _ptolemy_terms(x, y, z, u, power: float):
     # With one entry infinite, each product carries exactly one infinite
     # factor, which cancels between the three terms, leaving a triangle
     # comparison among the remaining points.
-    d = lambda p, q: 1.0 if (p.infinite or q.infinite) else dist(p, q) ** power
+    sq = lambda r: r if power == 1.0 else r * r
+    d = lambda p, q: 1.0 if (p.infinite or q.infinite) else sq(dist(p, q))
     return (d(x, z) * d(y, u), d(x, y) * d(z, u), d(x, u) * d(y, z))
 
 
@@ -404,9 +407,10 @@ def ptolemy_defect_squared(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint,
 # runs the same strided BLAS dot); ``_norm_rows`` for a row norm (the
 # strided dots of ``_norm`` and ``np.linalg.norm`` on one complex vector;
 # ``axis=-1`` norms, ``einsum``, ``sum`` and contiguous real rows add in
-# another order); ``_modulus`` for ``abs`` of a complex (``np.abs`` of an
-# array rounds differently); and ``_pow`` for powers, as numpy's vector
-# ``power`` rounds differently from ``pow``.
+# another order); and ``_modulus`` for ``abs`` of a complex (``np.abs`` of
+# an array rounds differently).  No form takes a power: squares are
+# multiplies and the Cygan root is ``sqrt(sqrt(s))``, by ``math`` or numpy,
+# which agree as IEEE 754 (section 5.4.1) rounds both operations correctly.
 
 class Points(NamedTuple):
     """A stack of boundary points: row i is ``point(Z[i], T[i])``, or
@@ -435,11 +439,6 @@ class Points(NamedTuple):
         return BoundaryPoint(z=self.Z[i], t=float(self.T[i]))
 
 
-def _pow(values: np.ndarray, exponent) -> np.ndarray:
-    """``v ** exponent`` in Python float arithmetic, for each entry of a 1-d array."""
-    return np.array([v ** exponent for v in values.tolist()], dtype=float)
-
-
 def _norm(X: np.ndarray) -> float:
     """Euclidean norm of a 1-d complex or real vector.
 
@@ -463,7 +462,7 @@ def dist_stack(P: Points, Q: Points) -> np.ndarray:
     dz = Q.Z - P.Z
     dt = Q.T - P.T + 2.0 * np.vecdot(P.Z, Q.Z).imag
     zz = np.vecdot(dz, dz).real
-    d = _pow(zz * zz + dt * dt, 0.25)
+    d = np.sqrt(np.sqrt(zz * zz + dt * dt))
     return np.where(P.inf | Q.inf, np.where(P.inf & Q.inf, 0.0, math.inf), d)
 
 
@@ -478,15 +477,16 @@ def dist_w_stack(W: Points, P: Points, Q: Points) -> np.ndarray:
 
 def _gauge_stack(P: Points) -> np.ndarray:
     zz = np.vecdot(P.Z, P.Z).real
-    return _pow(zz * zz + P.T * P.T, 0.25)
+    return np.sqrt(np.sqrt(zz * zz + P.T * P.T))
 
 
 def chordal_sq_stack(P: Points, Q: Points) -> np.ndarray:
-    gp, gq = _pow(_gauge_stack(P), 2), _pow(_gauge_stack(Q), 2)
+    gp, gq = (g * g for g in (_gauge_stack(P), _gauge_stack(Q)))
     with np.errstate(invalid="ignore"):
         finite = dist_stack(P, Q) / np.sqrt((1.0 + gp) * (1.0 + gq))
     one = 1.0 / np.sqrt(1.0 + np.where(P.inf, gq, gp))   # against the finite member
-    return _pow(np.where(P.inf | Q.inf, np.where(P.inf & Q.inf, 0.0, one), finite), 2)
+    c = np.where(P.inf | Q.inf, np.where(P.inf & Q.inf, 0.0, one), finite)
+    return c * c
 
 
 def triples_from_pairings(w) -> np.ndarray:
@@ -525,6 +525,6 @@ def ptolemy_defect_stack(x: Points, y: Points, z: Points, u: Points,
 
     def d(p, q):
         r = dist_stack(p, q)
-        return np.where(p.inf | q.inf, 1.0, r if power == 1.0 else _pow(r, power))
+        return np.where(p.inf | q.inf, 1.0, r if power == 1.0 else r * r)
 
     return d(x, z) * d(y, u) - d(x, y) * d(z, u) - d(x, u) * d(y, z)

@@ -174,7 +174,7 @@ def _radius_of(A: OrthoComplement, c: MoebiusMap) -> float:
         q = -q1.t * tau
         if not q > 0:
             raise GeometryError("involution is not fixed-point free in the chart")
-        return q ** 0.25
+        return math.sqrt(math.sqrt(q))
     raise GeometryError("could not place the involution in canonical position")
 
 
@@ -320,8 +320,8 @@ def join_decompose(A: OrthoComplement, u: BoundaryPoint,
     c = chain_chart(F, omega, o)  # checks that omega and o lie on F
     rho = _radius_of(A, c)
     u1 = c(u)
-    a = float(np.sum((u1.z * np.conj(u1.z)).real)) ** 0.5
-    b = abs(u1.t) ** 0.5
+    a = math.sqrt(float(np.sum((u1.z * np.conj(u1.z)).real)))
+    b = math.sqrt(abs(u1.t))
     if a <= 1e-13:
         raise GeometryError("point lies on the chain fiber; decomposition degenerates")
     cinv = c.inverse()

@@ -35,14 +35,15 @@ A point keeps its lift once computed.
 
 The stacked forms (``lift_stack``, ``act_stack``, ``drop_stack``,
 ``herm_stack`` and the generator stacks) hold the same contract row by
-row, as those of :mod:`chgeom.core` do, and reduce rows with its helpers
-(``np.vecdot``, ``_norm_rows``, ``_modulus``, ``_pow``; see "Stacked
-forms" there).  A test pins each one to its scalar twin bit for bit.  The
-map action is ``G @ X[..., None]``, which rounds as ``g @ x`` (``einsum``
-does not).  Where the twin multiplies numpy complex scalars or does
-Python complex arithmetic, the real-part arithmetic is spelled out, since
-numpy's vector complex product fuses multiply and add.  Complex division
-stays a vector loop.
+row and reduce rows with the helpers of :mod:`chgeom.core` (``np.vecdot``,
+``_norm_rows``, ``_modulus``; see "Stacked forms" there).  No form takes a
+power: squares are multiplies, and the Cygan root ``sqrt(sqrt(.))`` rounds
+alike in ``math`` and numpy (IEEE 754, 5.4.1).  A test pins each stacked
+form to its scalar twin bit for bit.  The map action is ``G @ X[..., None]``,
+which rounds as ``g @ x`` (``einsum`` does not).  Where the twin multiplies
+numpy complex scalars or does Python complex arithmetic, the real-part
+arithmetic is spelled out, since numpy's vector complex product fuses
+multiply and add.  Complex division stays a vector loop.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ from .core import (
     _modulus,
     _norm_rows,
     _pairing_stack,
-    _pow,
     chordal_sq,
     chordal_sq_stack,
     crt,
@@ -239,7 +238,7 @@ def _circle_ptolemy(circle, power):
         pts = circle(cfg.k).points_at_stack(moebius_stack(cfg.k, params), np.array(taus))
         scale = dist_stack(pts[0], pts[2]) * dist_stack(pts[1], pts[3])
         if power != 1.0:
-            scale = _pow(scale, power)
+            scale = scale * scale
         return _rel_stack(ptolemy_defect_stack(*pts, power=power), np.maximum(scale, 1e-12))
     return block
 
@@ -295,7 +294,8 @@ def _distance_formula_r4(cfg, draws):
     for i in np.flatnonzero(check_mu):
         F = canonical_chain(k).transported(MoebiusMap(g[i], check=False))
         worst[i] = chordal_sq(z.row(i), mu(F, omega.row(i), u.row(i)))
-    r4, a4, b4 = (_pow(dist_w_stack(omega, p, q), 4) for p, q in ((o, u), (z, u), (o, z)))
+    dists = (dist_w_stack(omega, p, q) for p, q in ((o, u), (z, u), (o, z)))
+    r4, a4, b4 = ((d * d) * (d * d) for d in dists)
     return np.maximum(worst, _rel_stack(r4 - a4 - b4, np.maximum(np.maximum(r4, a4), b4)))
 
 
@@ -678,9 +678,8 @@ def _vertical_shift_isometry(cfg, draws):
     worst = _rel_stack(dist_stack(gx, gy) - dxy, dxy)
     worst = np.maximum(worst, _rel_stack(dist_stack(x, gx) - root, root))
     (cx,) = map_points(translation_stack(zeros, s2) @ gamma, x)
-    disp_sq = _pow(dist_stack(x, cx), 2)
-    total = np.abs(s) + np.abs(s2)
-    return np.maximum(worst, _rel_stack(disp_sq - total, total))
+    disp, total = dist_stack(x, cx), np.abs(s) + np.abs(s2)
+    return np.maximum(worst, _rel_stack(disp * disp - total, total))
 
 
 @_law("foliation", "foliation", 1e-12, 1000,
@@ -761,8 +760,8 @@ def _lift_triangle_area_ratio(cfg, draws):
     x = v + ratio[:, None] * (z - v)
     moved = fo.tau_stack(np.stack([x, y, z], axis=1), 0.0)[1]
     original = fo.tau_stack(pts, 0.0)[1]
-    lhs = _pow(moved, 2) * _norm_rows(z - v)
-    rhs = _norm_rows(z - x) * _pow(original, 2)
+    lhs = (moved * moved) * _norm_rows(z - v)
+    rhs = _norm_rows(z - x) * (original * original)
     return _rel_stack(lhs - rhs, np.maximum(np.maximum(lhs, rhs), 1e-6))
 
 

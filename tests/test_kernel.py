@@ -18,6 +18,7 @@ from chgeom.core import (
     GeometryError,
     Points,
     SpaceConfig,
+    _gauge_stack,
     _modulus,
     _norm,
     _norm_rows,
@@ -29,6 +30,7 @@ from chgeom.core import (
     dist_stack,
     dist_w,
     dist_w_stack,
+    gauge,
     harmonicity_residual,
     harmonicity_residual_stack,
     infinity,
@@ -466,6 +468,55 @@ def test_metric_stacks_match_scalar(rng, k):
     W = [herm_stack(X[i], X[j]) for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
     assert _bits(triples_from_pairings([_modulus(w) for w in W])) == _bits(
         [crt_projective(*r).components() for r in good])
+
+
+def _radicand(p, q):
+    # |dz|^4 + dt^2 of dist(p, q), whose fourth root is the distance
+    dz = q.z - p.z
+    dt = q.t - p.t + 2.0 * complex(np.vdot(p.z, q.z)).imag
+    zz = complex(np.vdot(dz, dz)).real
+    return zz * zz + dt * dt
+
+
+def _spread_points(rng, k, n):
+    # |z|^4 + t^2 spread over e^-40 .. e^40
+    scale = np.exp(rng.uniform(-10.0, 10.0, n))
+    Z = scale[:, None] * (rng.standard_normal((n, k - 1)) + 1j * rng.standard_normal((n, k - 1)))
+    return Points.finite(Z, scale * scale * rng.standard_normal(n))
+
+
+@pytest.fixture
+def cygan_radicands(rng):
+    """Stacks P, Q of 1,000 points each and the 2,000 radicands of gauge(P) and dist(P, Q)."""
+    P, Q = _spread_points(rng, 3, 1000), _spread_points(rng, 3, 1000)
+    pairs = [(P.row(i), Q.row(i)) for i in range(1000)]
+    o = origin(3)
+    s = [_radicand(o, p) for p, _ in pairs] + [_radicand(p, q) for p, q in pairs]
+    assert min(s) < math.exp(-30) and max(s) > math.exp(30)
+    return P, Q, pairs, s
+
+
+def test_cygan_root_is_sqrt_of_sqrt_in_every_form(cygan_radicands):
+    # IEEE 754 rounds a square root correctly, so math and numpy agree; the
+    # root x ** 0.25 differs from sqrt(sqrt(x)) in the last bit of ~13% of x
+    P, Q, pairs, s = cygan_radicands
+    root = [math.sqrt(math.sqrt(v)) for v in s]
+    assert _bits([gauge(p) for p, _ in pairs]) == _bits(root[:1000])
+    assert _bits(_gauge_stack(P)) == _bits(root[:1000])
+    assert _bits([dist(p, q) for p, q in pairs]) == _bits(root[1000:])
+    assert _bits(dist_stack(P, Q)) == _bits(root[1000:])
+
+
+def test_cygan_root_is_within_one_ulp(cygan_radicands):
+    # the accuracy sqrt(sqrt(x)) trades for agreement: under 1 ulp (0.824 ulp
+    # at worst was measured), where a correctly rounded root is within 0.5
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for v in cygan_radicands[3]:
+            y = math.sqrt(math.sqrt(v))
+            worst = max(worst, float(abs(mpmath.mpf(y) - mpmath.root(v, 4))) / math.ulp(y))
+    assert worst < 1.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
